@@ -65,6 +65,7 @@ Engine::unwindStranded()
     hc_assert(!inRun_);
     unwinding_ = true;
     timedWaiters_.clear(); // hasTimeout_ is force-cleared below
+    earliestTimeout_ = nullptr;
     Engine *prev_engine = g_current_engine;
     g_current_engine = this;
     for (auto &thread : threads_) {
@@ -77,7 +78,7 @@ Engine::unwindStranded()
         t->waitingOn_ = nullptr;
         t->hasTimeout_ = false;
         running_ = t;
-        t->fiber_->switchTo();
+        t->fiber_->switchTo(scheduler_);
         running_ = nullptr;
         hc_assert(t->fiber_->finished());
         t->state_ = ThreadState::Done;
@@ -115,29 +116,15 @@ Engine::makeReady(Thread *thread, Cycles when)
 {
     thread->state_ = ThreadState::Ready;
     thread->readyTime_ = when;
-    cores_[static_cast<std::size_t>(thread->core_)].ready.push_back(
-        thread);
+    Core &core = cores_[static_cast<std::size_t>(thread->core_)];
+    core.ready.push_back(thread);
+    // Only a strictly earlier time displaces the cached candidate:
+    // on ties the earlier push wins (FIFO).
+    if (!core.best || when < core.best->readyTime_)
+        core.best = thread;
     // A new candidate may precede the running thread's horizon.
     if (running_)
         nextEventTime_ = std::min(nextEventTime_, when);
-}
-
-bool
-Engine::nextCandidate(const Core &core, Cycles &time,
-                      Thread *&thread) const
-{
-    if (core.ready.empty())
-        return false;
-    // Pick the ready thread with the earliest eligibility (FIFO on
-    // ties, which the stable scan preserves).
-    Thread *best = nullptr;
-    for (Thread *t : core.ready) {
-        if (!best || t->readyTime_ < best->readyTime_)
-            best = t;
-    }
-    thread = best;
-    time = std::max(core.clock, best->readyTime_);
-    return true;
 }
 
 Engine::Selection
@@ -146,55 +133,111 @@ Engine::selectNext() const
     Selection sel;
     // Globally minimal runnable candidate; `<` keeps the first core
     // on ties. Candidate times of every losing core accumulate into
-    // otherMin so a post-dispatch horizon refresh only has to rescan
-    // the winning core.
+    // otherMin so the post-dispatch horizon refresh only has to look
+    // at the winning core.
     for (std::size_t c = 0; c < cores_.size(); ++c) {
-        Cycles t;
-        Thread *th;
-        if (!nextCandidate(cores_[c], t, th))
+        const Core &core = cores_[c];
+        if (!core.best)
             continue;
+        const Cycles t = core.candidateTime();
         if (t < sel.time) {
-            if (sel.thread)
-                sel.otherMin = std::min(sel.otherMin, sel.time);
+            sel.otherMin = std::min(sel.otherMin, sel.time);
             sel.time = t;
-            sel.thread = th;
+            sel.thread = core.best;
             sel.coreIdx = c;
         } else {
             sel.otherMin = std::min(sel.otherMin, t);
         }
     }
-    // Earliest pending waitUntil() deadline; ties resolve by spawn id
-    // so the result matches a scan of threads_ in spawn order.
-    for (Thread *t : timedWaiters_) {
-        if (t->timeoutAt_ < sel.timeoutTime ||
-            (t->timeoutAt_ == sel.timeoutTime &&
-             t->id_ < sel.timeoutThread->id_)) {
-            sel.timeoutTime = t->timeoutAt_;
-            sel.timeoutThread = t;
-        }
+    if (earliestTimeout_) {
+        sel.timeoutThread = earliestTimeout_;
+        sel.timeoutTime = earliestTimeout_->timeoutAt_;
     }
     return sel;
 }
 
 void
-Engine::updateNextEventAfterDispatch(const Selection &sel)
+Engine::dispatch(const Selection &sel)
 {
-    // Dispatch only changed the winning core (candidate removed,
-    // clock moved); every other core's candidate and the timeout
-    // minimum were already gathered by selectNext().
-    Cycles next = std::min(sel.otherMin, sel.timeoutTime);
-    Cycles t;
-    Thread *th;
-    if (nextCandidate(cores_[sel.coreIdx], t, th))
-        next = std::min(next, t);
-    nextEventTime_ = next;
+    Thread *next = sel.thread;
+    Core &core = cores_[sel.coreIdx];
+    // next is the core's cached candidate: drop it (keeping push
+    // order) and find the new candidate in the same pass.
+    auto &ready = core.ready;
+    Thread *best = nullptr;
+    std::size_t kept = 0;
+    for (Thread *t : ready) {
+        if (t == next)
+            continue;
+        ready[kept++] = t;
+        if (!best || t->readyTime_ < best->readyTime_)
+            best = t;
+    }
+    hc_assert(kept + 1 == ready.size());
+    ready.resize(kept);
+    core.best = best;
+
+    core.clock = sel.time;
+    next->state_ = ThreadState::Running;
+    running_ = next;
+    // Only this core's candidate changed; every other core's and the
+    // earliest deadline were already gathered by selectNext().
+    Cycles horizon = std::min(sel.otherMin, sel.timeoutTime);
+    if (best)
+        horizon = std::min(horizon, core.candidateTime());
+    nextEventTime_ = horizon;
+}
+
+bool
+Engine::expiresBefore(const Thread *a, const Thread *b)
+{
+    return a->timeoutAt_ < b->timeoutAt_ ||
+           (a->timeoutAt_ == b->timeoutAt_ && a->id_ < b->id_);
+}
+
+void
+Engine::addTimedWaiter(Thread *thread)
+{
+    thread->hasTimeout_ = true;
+    timedWaiters_.push_back(thread);
+    if (!earliestTimeout_ || expiresBefore(thread, earliestTimeout_))
+        earliestTimeout_ = thread;
 }
 
 void
 Engine::dropTimedWaiter(Thread *thread)
 {
+    thread->hasTimeout_ = false;
     timedWaiters_.erase(std::find(timedWaiters_.begin(),
                                   timedWaiters_.end(), thread));
+    if (thread != earliestTimeout_)
+        return;
+    earliestTimeout_ = nullptr;
+    for (Thread *t : timedWaiters_) {
+        if (!earliestTimeout_ || expiresBefore(t, earliestTimeout_))
+            earliestTimeout_ = t;
+    }
+}
+
+void
+Engine::expireTimeout(const Selection &sel)
+{
+    // Once its deadline is the global minimum, no earlier notify can
+    // still happen: detach from the queue and make it ready.
+    Thread *thread = sel.timeoutThread;
+    WaitQueue *queue = thread->waitingOn_;
+    hc_assert(queue);
+    auto &waiters = queue->waiters_;
+    waiters.erase(std::find(waiters.begin(), waiters.end(), thread));
+    thread->waitingOn_ = nullptr;
+    dropTimedWaiter(thread);
+    thread->timedOut_ = true;
+    // Expiry creates no ordering edge (nobody notified), but
+    // observers that count scheduling perturbations (the
+    // fault-injection layer) still want to see it.
+    if (observer_)
+        observer_->onTimeout(thread);
+    makeReady(thread, sel.timeoutTime);
 }
 
 void
@@ -207,35 +250,11 @@ Engine::run()
 
     while (!stopRequested_ && liveThreads_ > 0) {
         const Selection sel = selectNext();
-
-        // Fire any expired waitUntil() timeout that precedes every
-        // runnable candidate: once its deadline is the global minimum,
-        // no earlier notify can still happen.
         if (sel.expiresTimeout()) {
-            Thread *timeout_thread = sel.timeoutThread;
-            // Expire the wait: detach from its queue and make it ready.
-            WaitQueue *queue = timeout_thread->waitingOn_;
-            hc_assert(queue);
-            auto &waiters = queue->waiters_;
-            waiters.erase(std::find(waiters.begin(), waiters.end(),
-                                    timeout_thread));
-            timeout_thread->waitingOn_ = nullptr;
-            timeout_thread->hasTimeout_ = false;
-            dropTimedWaiter(timeout_thread);
-            timeout_thread->timedOut_ = true;
-            // Expiry creates no ordering edge (nobody notified), but
-            // observers that count scheduling perturbations (the
-            // fault-injection layer) still want to see it.
-            if (observer_)
-                observer_->onTimeout(timeout_thread);
-            makeReady(timeout_thread, sel.timeoutTime);
+            expireTimeout(sel);
             continue;
         }
-
-        Thread *best_thread = sel.thread;
-        if (!best_thread) {
-            if (stopRequested_)
-                break;
+        if (!sel.thread) {
             std::string live;
             for (const auto &thread : threads_) {
                 if (thread->state_ != ThreadState::Done)
@@ -245,41 +264,24 @@ Engine::run()
                   live.c_str());
         }
 
-        // Dispatch.
-        Core &core = cores_[sel.coreIdx];
-        auto &ready = core.ready;
-        ready.erase(std::find(ready.begin(), ready.end(), best_thread));
-        core.clock = sel.time;
-        core.running = best_thread;
-        best_thread->state_ = ThreadState::Running;
-        running_ = best_thread;
-        updateNextEventAfterDispatch(sel);
+        dispatch(sel);
+        running_->fiber_->switchTo(scheduler_);
 
-        best_thread->fiber_->switchTo();
-
+        // Back from whichever thread ended the chain of handoffs this
+        // dispatch started, so read running_, not sel.thread.
+        Thread *last = running_;
         running_ = nullptr;
-        core.running = nullptr;
-        if (best_thread->fiber_->finished() ||
-            best_thread->state_ == ThreadState::Done) {
-            if (best_thread->state_ != ThreadState::Done) {
-                best_thread->state_ = ThreadState::Done;
-            }
+        if (last->fiber_->finished() ||
+            last->state_ == ThreadState::Done) {
+            last->state_ = ThreadState::Done;
             --liveThreads_;
             if (observer_)
-                observer_->onThreadExit(best_thread);
+                observer_->onThreadExit(last);
         }
     }
 
     g_current_engine = prev_engine;
     inRun_ = false;
-}
-
-Cycles
-Engine::now() const
-{
-    if (!running_)
-        return 0;
-    return cores_[static_cast<std::size_t>(running_->core_)].clock;
 }
 
 Cycles
@@ -289,37 +291,26 @@ Engine::coreNow(CoreId core) const
     return cores_[static_cast<std::size_t>(core)].clock;
 }
 
-bool
-Engine::tryFastResume(Thread *self)
-{
-    // The scheduler loop would re-check stopRequested_ before
-    // dispatching anyone; a pending stop must reach it.
-    if (stopRequested_)
-        return false;
-    const Selection sel = selectNext();
-    if (sel.expiresTimeout() || sel.thread != self)
-        return false;
-
-    // The scheduler's next decision is "run self at sel.time": do the
-    // dispatch bookkeeping in place and skip the fiber round-trip.
-    // running_/core.running still point at self.
-    Core &core = cores_[static_cast<std::size_t>(self->core_)];
-    hc_assert(!core.ready.empty() && core.ready.back() == self);
-    core.ready.pop_back();
-    self->state_ = ThreadState::Running;
-    core.clock = sel.time;
-    updateNextEventAfterDispatch(sel);
-    return true;
-}
-
 void
-Engine::switchOut()
+Engine::reschedule(Thread *self)
 {
-    Thread *self = running_;
-    hc_assert(self);
-    self->fiber_->switchBack();
-    // Resumed: we are running again (scheduler restored bookkeeping) —
-    // unless teardown resumed us solely to collapse this stack.
+    Selection sel;
+    // A pending stop must reach the scheduler loop before anyone else
+    // runs.
+    if (!stopRequested_)
+        sel = selectNext();
+    if (sel.thread && !sel.expiresTimeout()) {
+        // Exactly what the loop would do next. Dispatch emits no
+        // observer events, so skipping the loop is invisible.
+        dispatch(sel);
+        if (sel.thread == self)
+            return; // re-picked: keep running, no switch at all
+        self->fiber_->handoff(*sel.thread->fiber_);
+    } else {
+        self->fiber_->switchBack();
+    }
+    // Resumed by a later dispatch — unless teardown resumed us solely
+    // to collapse this stack.
     if (unwinding_)
         throw ForcedUnwind{};
 }
@@ -358,16 +349,14 @@ Engine::advance(Cycles cycles)
     hc_assert(self);
     Core &core = cores_[static_cast<std::size_t>(self->core_)];
     core.clock += cycles;
-    if (config_.interruptMeanCycles > 0)
+    // nextInterrupt stays at "never" while interrupts are disabled.
+    if (core.clock >= core.nextInterrupt)
         maybeInterrupt();
     if (core.clock >= nextEventTime_) {
         // Another event precedes (or ties) our clock: let the
         // scheduler interleave. We stay ready at our current time.
-        self->state_ = ThreadState::Ready;
-        self->readyTime_ = core.clock;
-        core.ready.push_back(self);
-        if (!tryFastResume(self))
-            switchOut();
+        makeReady(self, core.clock);
+        reschedule(self);
     }
 }
 
@@ -381,11 +370,8 @@ Engine::yield()
     Core &core = cores_[static_cast<std::size_t>(self->core_)];
     if (core.ready.empty())
         return;
-    self->state_ = ThreadState::Ready;
-    self->readyTime_ = core.clock;
-    core.ready.push_back(self);
-    if (!tryFastResume(self))
-        switchOut();
+    makeReady(self, core.clock);
+    reschedule(self);
 }
 
 void
@@ -396,11 +382,8 @@ Engine::sleepUntil(Cycles when)
     Thread *self = running_;
     hc_assert(self);
     Core &core = cores_[static_cast<std::size_t>(self->core_)];
-    self->state_ = ThreadState::Ready;
-    self->readyTime_ = std::max(when, core.clock);
-    core.ready.push_back(self);
-    if (!tryFastResume(self))
-        switchOut();
+    makeReady(self, std::max(when, core.clock));
+    reschedule(self);
 }
 
 void
@@ -415,7 +398,7 @@ Engine::wait(WaitQueue &queue)
     self->hasTimeout_ = false;
     self->timedOut_ = false;
     queue.waiters_.push_back(self);
-    switchOut();
+    reschedule(self);
 }
 
 bool
@@ -427,12 +410,11 @@ Engine::waitUntil(WaitQueue &queue, Cycles deadline)
     hc_assert(self);
     self->state_ = ThreadState::Blocked;
     self->waitingOn_ = &queue;
-    self->hasTimeout_ = true;
     self->timeoutAt_ = std::max(deadline, now());
     self->timedOut_ = false;
     queue.waiters_.push_back(self);
-    timedWaiters_.push_back(self);
-    switchOut();
+    addTimedWaiter(self);
+    reschedule(self);
     return !self->timedOut_;
 }
 
@@ -444,10 +426,8 @@ Engine::notifyOne(WaitQueue &queue)
     Thread *woken = queue.waiters_.front();
     queue.waiters_.pop_front();
     woken->waitingOn_ = nullptr;
-    if (woken->hasTimeout_) {
-        woken->hasTimeout_ = false;
+    if (woken->hasTimeout_)
         dropTimedWaiter(woken);
-    }
     woken->timedOut_ = false;
     if (observer_)
         observer_->onWake(running_, woken);
@@ -467,7 +447,8 @@ Engine::exitThread()
     Thread *self = running_;
     hc_assert(self);
     self->state_ = ThreadState::Done;
-    switchOut();
+    // Exit is handled by the scheduler loop, never handed off.
+    self->fiber_->switchBack();
     panic("exited thread resumed");
 }
 

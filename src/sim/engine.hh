@@ -9,12 +9,20 @@
  * effective start time is globally minimal, so for a fixed seed every
  * run interleaves identically.
  *
- * Threads charge virtual time with advance(); advance() hands control
- * back to the scheduler whenever the local clock crosses the earliest
- * pending event elsewhere, which keeps cross-core shared-memory
- * interactions (the HotCalls channel, spin-locks) correctly ordered in
- * virtual time while costing a context switch only at real
- * interleaving points.
+ * Threads charge virtual time with advance(); advance() gives up the
+ * core whenever the local clock crosses the earliest pending event
+ * elsewhere, which keeps cross-core shared-memory interactions (the
+ * HotCalls channel, spin-locks) correctly ordered in virtual time while
+ * costing a scheduling decision only at real interleaving points.
+ *
+ * Each decision costs a constant amount: every core caches its next
+ * candidate and the earliest waitUntil() deadline is cached too, so
+ * selection is one pass over the cores with no queue scans; the
+ * thread giving up its core makes the decision itself and either keeps
+ * running (re-picked) or switches straight into the winner's fiber.
+ * The scheduler loop runs only for timeout expiries, thread exits,
+ * blocking waits with nothing runnable, stop and deadlock. See
+ * DESIGN.md section 5.1.
  */
 
 #ifndef HC_SIM_ENGINE_HH
@@ -228,7 +236,12 @@ class Engine
     Thread *currentThread() const { return running_; }
 
     /** @return the current thread's core clock, in cycles. */
-    Cycles now() const;
+    Cycles now() const
+    {
+        if (!running_)
+            return 0;
+        return cores_[static_cast<std::size_t>(running_->core_)].clock;
+    }
 
     /** @return the clock of core @p core. */
     Cycles coreNow(CoreId core) const;
@@ -290,9 +303,18 @@ class Engine
   private:
     struct Core {
         Cycles clock = 0;
-        Thread *running = nullptr;
-        std::deque<Thread *> ready;
+        /** Ready threads in push order (FIFO among equal times). */
+        std::vector<Thread *> ready;
+        /** Cached next candidate: the earliest readyTime_, first in
+         *  push order on ties; null when ready is empty. */
+        Thread *best = nullptr;
         Cycles nextInterrupt = std::numeric_limits<Cycles>::max();
+
+        /** @return when best could start on this core. */
+        Cycles candidateTime() const
+        {
+            return best->readyTime_ > clock ? best->readyTime_ : clock;
+        }
     };
 
     /**
@@ -319,35 +341,39 @@ class Engine
     /** Move @p thread to Ready on its core, runnable at @p when. */
     void makeReady(Thread *thread, Cycles when);
 
-    /** Compute the next scheduling decision (shared by the scheduler
-     *  loop and the re-pick-self fast path, so they cannot diverge). */
+    /** Compute the next scheduling decision from the per-core and
+     *  timed-waiter caches: one pass over the cores, no queue scans.
+     *  The scheduler loop and a yielding fiber both decide through
+     *  it, so they cannot diverge. */
     Selection selectNext() const;
 
-    /** Refresh nextEventTime_ after dispatching @p sel's winner:
-     *  only the winning core's candidate changed, so combine its
-     *  rescan with the mins already gathered during selection. */
-    void updateNextEventAfterDispatch(const Selection &sel);
+    /** Run @p sel's winner: take it off its core's ready list, move
+     *  the core clock, make it running_ and refresh the horizon. */
+    void dispatch(const Selection &sel);
+
+    /** Expire @p sel's timed waiter and make it ready. */
+    void expireTimeout(const Selection &sel);
 
     /**
-     * Fast path for a running thread that just re-queued itself on
-     * its own core (advance/yield/sleep): when the scheduler's next
-     * decision would re-pick that same thread, complete the dispatch
-     * bookkeeping in place and skip the two fiber switches. The
-     * observer sees nothing either way — dispatch emits no events.
-     * @return true when the thread keeps running (caller returns),
-     *         false when it must switchOut() to the scheduler.
+     * Give up the core: the running thread just left Running
+     * (re-queued itself, blocked, or exited via exitThread()). Makes
+     * the next decision in place: when it re-picks the caller, the
+     * caller keeps running with no switch at all; when it picks
+     * another ready thread, dispatches it and hands the fiber over
+     * directly. Only timeout expiry, a pending stop and "nothing
+     * runnable" go back to the scheduler loop. Also the single
+     * resume point where teardown's ForcedUnwind is raised.
      */
-    bool tryFastResume(Thread *self);
+    void reschedule(Thread *self);
+
+    /** Deadline order: earlier timeoutAt_, then lower spawn id. */
+    static bool expiresBefore(const Thread *a, const Thread *b);
+
+    /** Add @p thread to the timed-waiter list (deadline set). */
+    void addTimedWaiter(Thread *thread);
 
     /** Drop @p thread from the timed-waiter list (timeout cleared). */
     void dropTimedWaiter(Thread *thread);
-
-    /** Candidate (time, thread) for the next thread a core would run. */
-    bool nextCandidate(const Core &core, Cycles &time,
-                       Thread *&thread) const;
-
-    /** Yield from the running fiber back to the scheduler. */
-    void switchOut();
 
     /** Deliver any interrupt due on the current core. */
     void maybeInterrupt();
@@ -356,11 +382,14 @@ class Engine
     Rng rng_;
     std::vector<Core> cores_;
     std::vector<std::unique_ptr<Thread>> threads_;
-    /** Blocked threads with a pending waitUntil() deadline — the only
-     *  threads the scheduler must scan besides per-core ready queues
-     *  (ties resolve by spawn id, matching a spawn-order scan). */
+    /** Blocked threads with a pending waitUntil() deadline. */
     std::vector<Thread *> timedWaiters_;
+    /** Cached earliest deadline among timedWaiters_ (ties by spawn
+     *  id, matching a spawn-order scan); null when there is none. */
+    Thread *earliestTimeout_ = nullptr;
     Thread *running_ = nullptr;
+    /** The scheduler loop's context; every fiber returns to it. */
+    FiberHost scheduler_;
     std::uint64_t nextThreadId_ = 0;
     std::uint64_t liveThreads_ = 0;
     bool stopRequested_ = false;

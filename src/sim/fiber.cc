@@ -151,59 +151,18 @@ Fiber::Fiber(Body body, std::size_t stack_size)
     std::memcpy(frame + kFrameMxcsr, &mxcsr, sizeof(mxcsr));
     std::memcpy(frame + kFrameFpucw, &fpucw, sizeof(fpucw));
 
-    fiberSp_ = frame;
-    started_ = true;
+    context_ = frame;
 }
 
-void
-Fiber::run()
+namespace {
+
+inline void
+swapContext(FiberContext &save, FiberContext &to)
 {
-#ifdef HC_ASAN_FIBERS
-    // First entry: complete the switch the resumer started and learn
-    // the host stack so switches back can announce their destination.
-    __sanitizer_finish_switch_fiber(nullptr, &asanHostBottom_,
-                                    &asanHostSize_);
-#endif
-    body_();
-    finished_ = true;
-#ifdef HC_ASAN_FIBERS
-    // Null save slot: the fiber is exiting, drop its fake stack.
-    __sanitizer_start_switch_fiber(nullptr, asanHostBottom_,
-                                   asanHostSize_);
-#endif
-    // Final hop back to whoever switched us in last; the frame saved
-    // through fiberSp_ is never resumed.
-    hcFiberSwap(&fiberSp_, hostSp_);
+    hcFiberSwap(&save, to);
 }
 
-void
-Fiber::switchTo()
-{
-    hc_assert(started_ && !finished_);
-#ifdef HC_ASAN_FIBERS
-    void *fake = nullptr;
-    __sanitizer_start_switch_fiber(&fake, stack_.data(), stack_.size());
-#endif
-    hcFiberSwap(&hostSp_, fiberSp_);
-#ifdef HC_ASAN_FIBERS
-    __sanitizer_finish_switch_fiber(fake, nullptr, nullptr);
-#endif
-}
-
-void
-Fiber::switchBack()
-{
-    hc_assert(!finished_);
-#ifdef HC_ASAN_FIBERS
-    __sanitizer_start_switch_fiber(&asanFiberFake_, asanHostBottom_,
-                                   asanHostSize_);
-#endif
-    hcFiberSwap(&fiberSp_, hostSp_);
-#ifdef HC_ASAN_FIBERS
-    __sanitizer_finish_switch_fiber(asanFiberFake_, &asanHostBottom_,
-                                    &asanHostSize_);
-#endif
-}
+} // anonymous namespace
 
 #else // !HC_FIBER_FAST
 
@@ -222,13 +181,13 @@ Fiber::Fiber(Body body, std::size_t stack_size)
         panic("getcontext failed");
     context_.uc_stack.ss_sp = stack_.data();
     context_.uc_stack.ss_size = stack_.size();
-    context_.uc_link = &returnContext_;
+    // run() never returns: a finished fiber swaps to its host itself.
+    context_.uc_link = nullptr;
 
     const auto self = reinterpret_cast<std::uintptr_t>(this);
     makecontext(&context_, reinterpret_cast<void (*)()>(&trampoline), 2,
                 static_cast<unsigned int>(self >> 32),
                 static_cast<unsigned int>(self & 0xffffffffu));
-    started_ = true;
 }
 
 void
@@ -237,38 +196,72 @@ Fiber::trampoline(unsigned int hi, unsigned int lo)
     const std::uintptr_t self =
         (static_cast<std::uintptr_t>(hi) << 32) | lo;
     reinterpret_cast<Fiber *>(self)->run();
+    panic("fiber resumed after finishing");
+}
+
+namespace {
+
+inline void
+swapContext(FiberContext &save, FiberContext &to)
+{
+    if (swapcontext(&save, &to) != 0)
+        panic("swapcontext failed");
+}
+
+} // anonymous namespace
+
+#endif // HC_FIBER_FAST
+
+// --- Backend-independent transfers ---------------------------------
+//
+// ASan protocol: the side leaving a stack calls start_switch with a
+// slot for its fake stack (null when it will never resume) and the
+// destination's bounds; the side arriving calls finish_switch with the
+// fake stack it saved when it left. Fibers learn the host's bounds
+// from the first arrival out of switchTo().
+
+void
+Fiber::arrived()
+{
+#ifdef HC_ASAN_FIBERS
+    const void *from_bottom = nullptr;
+    std::size_t from_size = 0;
+    __sanitizer_finish_switch_fiber(asanFake_, &from_bottom, &from_size);
+    if (host_->asanEntering_) {
+        host_->asanBottom_ = from_bottom;
+        host_->asanSize_ = from_size;
+        host_->asanEntering_ = false;
+    }
+#endif
 }
 
 void
 Fiber::run()
 {
-#ifdef HC_ASAN_FIBERS
-    // First entry: complete the switch the resumer started and learn
-    // the host stack so switches back can announce their destination.
-    __sanitizer_finish_switch_fiber(nullptr, &asanHostBottom_,
-                                    &asanHostSize_);
-#endif
+    arrived();
     body_();
     finished_ = true;
 #ifdef HC_ASAN_FIBERS
     // Null save slot: the fiber is exiting, drop its fake stack.
-    __sanitizer_start_switch_fiber(nullptr, asanHostBottom_,
-                                   asanHostSize_);
+    __sanitizer_start_switch_fiber(nullptr, host_->asanBottom_,
+                                   host_->asanSize_);
 #endif
-    // Returning lets ucontext jump to uc_link (= returnContext_),
-    // resuming whoever switched us in last.
+    // Final hop back to the host; the context saved here is never
+    // resumed.
+    swapContext(context_, host_->context_);
 }
 
 void
-Fiber::switchTo()
+Fiber::switchTo(FiberHost &host)
 {
-    hc_assert(started_ && !finished_);
+    hc_assert(!finished_);
+    host_ = &host;
 #ifdef HC_ASAN_FIBERS
     void *fake = nullptr;
+    host.asanEntering_ = true;
     __sanitizer_start_switch_fiber(&fake, stack_.data(), stack_.size());
 #endif
-    if (swapcontext(&returnContext_, &context_) != 0)
-        panic("swapcontext into fiber failed");
+    swapContext(host.context_, context_);
 #ifdef HC_ASAN_FIBERS
     __sanitizer_finish_switch_fiber(fake, nullptr, nullptr);
 #endif
@@ -277,19 +270,26 @@ Fiber::switchTo()
 void
 Fiber::switchBack()
 {
-    hc_assert(!finished_);
+    hc_assert(!finished_ && host_);
 #ifdef HC_ASAN_FIBERS
-    __sanitizer_start_switch_fiber(&asanFiberFake_, asanHostBottom_,
-                                   asanHostSize_);
+    __sanitizer_start_switch_fiber(&asanFake_, host_->asanBottom_,
+                                   host_->asanSize_);
 #endif
-    if (swapcontext(&context_, &returnContext_) != 0)
-        panic("swapcontext out of fiber failed");
-#ifdef HC_ASAN_FIBERS
-    __sanitizer_finish_switch_fiber(asanFiberFake_, &asanHostBottom_,
-                                    &asanHostSize_);
-#endif
+    swapContext(context_, host_->context_);
+    arrived();
 }
 
-#endif // HC_FIBER_FAST
+void
+Fiber::handoff(Fiber &next)
+{
+    hc_assert(!finished_ && host_ && !next.finished_ && &next != this);
+    next.host_ = host_;
+#ifdef HC_ASAN_FIBERS
+    __sanitizer_start_switch_fiber(&asanFake_, next.stack_.data(),
+                                   next.stack_.size());
+#endif
+    swapContext(context_, next.context_);
+    arrived();
+}
 
 } // namespace hc::sim

@@ -23,6 +23,12 @@
  * Both backends produce identical scheduling (the engine decides who
  * runs; the fiber layer only transfers control), so simulated results
  * are independent of the backend.
+ *
+ * A fiber that gives up its core usually hands control straight to
+ * the next fiber the engine picked (handoff), so one scheduling
+ * decision costs one switch rather than a round trip through the
+ * scheduler loop. The loop's context is a FiberHost shared by every
+ * fiber; whichever fiber ends a chain of handoffs returns to it.
  */
 
 #ifndef HC_SIM_FIBER_HH
@@ -34,18 +40,51 @@
 #include <ucontext.h>
 #endif
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <vector>
 
 namespace hc::sim {
 
+#ifdef HC_FIBER_FAST
+/** A suspended context: its saved stack pointer. */
+using FiberContext = void *;
+#else
+using FiberContext = ucontext_t;
+#endif
+
+/**
+ * The host side of fiber switching: the context (the engine's
+ * scheduler loop, or any other code) that enters fibers and that they
+ * return to. One host serves every fiber it runs, so a fiber entered
+ * from another fiber (Fiber::handoff) still returns to that host.
+ */
+class FiberHost
+{
+  public:
+    FiberHost() = default;
+    FiberHost(const FiberHost &) = delete;
+    FiberHost &operator=(const FiberHost &) = delete;
+
+  private:
+    friend class Fiber;
+    FiberContext context_{};
+    // AddressSanitizer bookkeeping: the host's stack bounds, learned
+    // by the first fiber entered from it. Unused in non-ASan builds.
+    const void *asanBottom_ = nullptr;
+    std::size_t asanSize_ = 0;
+    bool asanEntering_ = false; //!< a switchTo() is in flight
+};
+
 /**
  * A suspendable execution context with its own stack.
  *
- * The fiber starts suspended; the owner resumes it with switchTo() and
- * the fiber gives control back via switchBack() (or by returning from
- * its body, which marks it finished).
+ * The fiber starts suspended. Control moves in three ways:
+ * switchTo() enters it from a host, handoff() moves from one fiber
+ * straight into another without visiting the host, and switchBack()
+ * (or returning from the body, which marks the fiber finished) goes
+ * back to the host that entered the chain.
  */
 class Fiber
 {
@@ -64,17 +103,24 @@ class Fiber
     Fiber &operator=(const Fiber &) = delete;
 
     /**
-     * Transfer control from the calling (host or scheduler) context
-     * into the fiber. Returns when the fiber switches back or
-     * finishes. Must not be called on a finished fiber.
+     * Transfer control from @p host into the fiber. Returns when a
+     * fiber switches back to @p host or finishes: this one, or any
+     * fiber it handed off to. Must not be called on a finished fiber.
      */
-    void switchTo();
+    void switchTo(FiberHost &host);
 
     /**
-     * Transfer control from inside the fiber back to whatever context
-     * last resumed it. Must be called from inside this fiber.
+     * Transfer control from inside this fiber back to its host.
+     * Must be called from inside this fiber.
      */
     void switchBack();
+
+    /**
+     * Transfer control from inside this fiber straight into @p next
+     * (suspended, not finished), which inherits this fiber's host.
+     * Returns when something resumes this fiber again.
+     */
+    void handoff(Fiber &next);
 
     /** @return true once the fiber body has returned. */
     bool finished() const { return finished_; }
@@ -90,27 +136,20 @@ class Fiber
 #endif
     void run();
 
+    /** Complete a switch into this fiber (ASan bookkeeping). */
+    void arrived();
+
     Body body_;
     std::vector<std::uint8_t> stack_;
-#ifdef HC_FIBER_FAST
-    /** Saved stack pointer of the suspended fiber. */
-    void *fiberSp_ = nullptr;
-    /** Saved stack pointer of whoever last resumed the fiber. */
-    void *hostSp_ = nullptr;
-#else
-    ucontext_t context_;
-    ucontext_t returnContext_;
-#endif
-    bool started_ = false;
+    FiberHost *host_ = nullptr; //!< where switchBack() and exit go
+    FiberContext context_{};
     bool finished_ = false;
 
     // AddressSanitizer bookkeeping: ASan must be told about every
     // stack switch (__sanitizer_start/finish_switch_fiber), or frames
     // on the heap-allocated fiber stacks are reported as
     // stack-buffer-overflows. Unused in non-ASan builds.
-    void *asanFiberFake_ = nullptr;
-    const void *asanHostBottom_ = nullptr;
-    std::size_t asanHostSize_ = 0;
+    void *asanFake_ = nullptr;
 };
 
 } // namespace hc::sim

@@ -13,6 +13,7 @@
 #ifndef HC_WORKLOADS_MEMTIER_HH
 #define HC_WORKLOADS_MEMTIER_HH
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -56,21 +57,38 @@ class MemtierClient
     /** Enable/disable latency recording (off during warmup). */
     void recordLatencies(bool on) { recordLatencies_ = on; }
 
-    /** @return responses whose payload failed verification. */
+    /**
+     * @return responses that failed verification: a non-zero status,
+     * a value length that does not match the op, or a GET whose
+     * echoed value fingerprint is neither the clients' payload nor,
+     * for a key no completed SET has stored yet, zero. Checked on the
+     * host only: verification charges no simulated cycles.
+     */
     std::uint64_t corrupted() const { return corrupted_; }
 
   private:
+    /** Response bytes kept for verification: header + fingerprint. */
+    static constexpr std::size_t kCheckedBytes = 5 + 8;
+
     struct Connection {
         int fd = -1;
         std::uint64_t expected = 0; //!< response bytes outstanding
         std::uint64_t received = 0;
         Cycles sentAt = 0;
+        bool isSet = false;
+        std::uint64_t key = 0;
+        /** A SET of key had completed when this GET was sent. */
+        bool mustHoldValue = false;
+        std::array<std::uint8_t, kCheckedBytes> head{};
     };
 
     void clientThread(int thread_index);
     void sendNext(Connection &conn, Rng &rng,
                   std::vector<std::uint8_t> &scratch,
                   const std::vector<std::uint8_t> &payload);
+
+    /** @return true when @p conn's complete response verifies. */
+    bool responseIntact(const Connection &conn) const;
 
     os::Kernel &kernel_;
     int serverPort_;
@@ -79,6 +97,10 @@ class MemtierClient
     bool recordLatencies_ = false;
     std::uint64_t completed_ = 0;
     std::uint64_t corrupted_ = 0;
+    /** Fingerprint the server echoes for a value SET by any client. */
+    std::uint64_t valueFingerprint_ = 0;
+    /** Keys some completed SET has stored (one bit per key). */
+    std::vector<bool> stored_;
     SampleSet latencies_;
 };
 

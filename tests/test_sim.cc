@@ -6,11 +6,14 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <functional>
 #include <string>
 #include <vector>
 
 #include "sim/engine.hh"
 #include "sim/fiber.hh"
+#include "support/rng.hh"
 
 using namespace hc;
 using namespace hc::sim;
@@ -22,9 +25,10 @@ using namespace hc::sim;
 TEST(Fiber, RunsBodyOnSwitchTo)
 {
     int state = 0;
+    FiberHost host;
     Fiber fiber([&] { state = 1; });
     EXPECT_EQ(state, 0);
-    fiber.switchTo();
+    fiber.switchTo(host);
     EXPECT_EQ(state, 1);
     EXPECT_TRUE(fiber.finished());
 }
@@ -32,6 +36,7 @@ TEST(Fiber, RunsBodyOnSwitchTo)
 TEST(Fiber, SuspendsAndResumes)
 {
     std::vector<int> order;
+    FiberHost host;
     Fiber *self = nullptr;
     Fiber fiber([&] {
         order.push_back(1);
@@ -39,11 +44,66 @@ TEST(Fiber, SuspendsAndResumes)
         order.push_back(3);
     });
     self = &fiber;
-    fiber.switchTo();
+    fiber.switchTo(host);
     order.push_back(2);
-    fiber.switchTo();
+    fiber.switchTo(host);
     EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
     EXPECT_TRUE(fiber.finished());
+}
+
+TEST(Fiber, HandoffSkipsTheHost)
+{
+    // a -> b (first entry) -> a -> b (resume) -> host, all without
+    // visiting the host in between; then b finishes back to the host
+    // even though the host only ever entered a.
+    std::vector<int> order;
+    FiberHost host;
+    Fiber *a_ptr = nullptr;
+    Fiber *b_ptr = nullptr;
+    Fiber a([&] {
+        order.push_back(1);
+        a_ptr->handoff(*b_ptr);
+        order.push_back(3);
+        a_ptr->handoff(*b_ptr);
+        order.push_back(6);
+    });
+    Fiber b([&] {
+        order.push_back(2);
+        b_ptr->handoff(*a_ptr);
+        order.push_back(4);
+        b_ptr->switchBack();
+        order.push_back(7);
+    });
+    a_ptr = &a;
+    b_ptr = &b;
+    a.switchTo(host);
+    order.push_back(5);
+    a.switchTo(host); // a finishes
+    EXPECT_TRUE(a.finished());
+    b.switchTo(host); // b finishes
+    EXPECT_TRUE(b.finished());
+    EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4, 5, 6, 7}));
+}
+
+TEST(Fiber, HandedOffFiberFinishesToHost)
+{
+    std::vector<int> order;
+    FiberHost host;
+    Fiber b([&] { order.push_back(2); });
+    Fiber *a_ptr = nullptr;
+    Fiber a([&] {
+        order.push_back(1);
+        a_ptr->handoff(b);
+        order.push_back(4);
+    });
+    a_ptr = &a;
+    a.switchTo(host); // returns when b finishes
+    order.push_back(3);
+    EXPECT_TRUE(b.finished());
+    EXPECT_FALSE(a.finished());
+    a.switchTo(host);
+    EXPECT_TRUE(a.finished());
+    EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4}));
 }
 
 // ----------------------------------------------------------------------
@@ -458,3 +518,298 @@ TEST_P(EngineCores, NotificationOrderIsFifo)
 
 INSTANTIATE_TEST_SUITE_P(CoreCounts, EngineCores,
                          ::testing::Values(1, 2, 4, 8, 16));
+
+// ----------------------------------------------------------------------
+// Scheduler oracle: a seeded randomized stress whose dispatch log is
+// pinned by digest. Any change to the scheduler's data structures or
+// control transfer must reproduce every decision exactly, so this is
+// the differential oracle for scheduler fast paths.
+// ----------------------------------------------------------------------
+
+namespace {
+
+/** FNV-1a over 64-bit words (little-endian bytes). */
+struct Fnv64 {
+    std::uint64_t h = 0xcbf29ce484222325ull;
+
+    void add(std::uint64_t v)
+    {
+        for (int i = 0; i < 8; ++i) {
+            h ^= (v >> (8 * i)) & 0xffu;
+            h *= 0x100000001b3ull;
+        }
+    }
+};
+
+/** Folds every observer event into the dispatch log. */
+class LogObserver : public EngineObserver
+{
+  public:
+    explicit LogObserver(Fnv64 &log) : log_(log) {}
+
+    void onSpawn(Thread *parent, Thread *child) override
+    {
+        log_.add(1);
+        log_.add(parent ? parent->id() : ~0ull);
+        log_.add(child->id());
+    }
+    void onWake(Thread *waker, Thread *woken) override
+    {
+        log_.add(2);
+        log_.add(waker ? waker->id() : ~0ull);
+        log_.add(woken->id());
+    }
+    void onThreadExit(Thread *thread) override
+    {
+        log_.add(3);
+        log_.add(thread->id());
+    }
+    void onTimeout(Thread *thread) override
+    {
+        log_.add(4);
+        log_.add(thread->id());
+    }
+    void onStop() override { log_.add(5); }
+
+  private:
+    Fnv64 &log_;
+};
+
+struct OracleRun {
+    std::uint64_t digest = 0;
+    std::uint64_t dispatches = 0; //!< logged resume points
+    std::uint64_t timeouts = 0;   //!< waitUntil() calls that timed out
+    std::uint64_t exits = 0;      //!< bodies that returned normally
+    std::uint64_t unwound = 0;    //!< bodies collapsed by unwindStranded
+    std::uint64_t stranded = 0;   //!< live threads when run() returned
+    /** (tag, wake time) of each tie participant, in wake order. */
+    std::vector<std::uint64_t> ties;
+};
+
+/**
+ * Spawn fibers on 8 cores that mix every blocking primitive, with
+ * times quantized to 100 cycles so ties are common, then stop the run
+ * while some threads are still blocked and unwind them.
+ */
+OracleRun
+runSchedulerOracle(std::uint64_t seed, double interrupt_mean)
+{
+    constexpr int kCores = 8;
+    constexpr Cycles kQuantum = 100;
+    constexpr Cycles kRandomAt = 4'000;
+    constexpr Cycles kStopAt = 12'000;
+
+    OracleRun out;
+    Fnv64 log;
+    LogObserver observer(log);
+    std::array<WaitQueue, 4> queues;
+    WaitQueue never; // nobody notifies it: waits on it time out
+    WaitQueue parked;
+    Rng rng(seed ^ 0x5eed0fac1e5ull);
+
+    Engine::Config config;
+    config.numCores = kCores;
+    config.seed = seed;
+    config.interruptMeanCycles = interrupt_mean;
+    Engine engine(config);
+    engine.setObserver(&observer);
+    engine.setInterruptHandler([&](CoreId core, Cycles at) -> Cycles {
+        log.add(0x1u);
+        log.add(static_cast<std::uint64_t>(core));
+        log.add(at);
+        return 37;
+    });
+
+    // One resume point: (thread id, core, clock).
+    auto mark = [&] {
+        Thread *self = engine.currentThread();
+        log.add(self->id());
+        log.add(static_cast<std::uint64_t>(self->core()));
+        log.add(engine.now());
+        ++out.dispatches;
+    };
+    auto quantize = [&](Cycles t) { return t - t % kQuantum; };
+
+    // Counts normal exits vs forced unwinds, and logs which.
+    struct ExitLog {
+        Engine &engine;
+        Fnv64 &log;
+        OracleRun &out;
+        std::uint64_t id;
+        ~ExitLog()
+        {
+            log.add(engine.unwinding() ? 0xdeadu : 0xe1u);
+            log.add(id);
+            ++(engine.unwinding() ? out.unwound : out.exits);
+        }
+    };
+
+    std::function<void(int, bool)> ops = [&](int count, bool may_spawn) {
+        for (int i = 0; i < count; ++i) {
+            const Cycles base = quantize(engine.now());
+            WaitQueue &queue = queues[rng.nextBelow(queues.size())];
+            switch (rng.nextBelow(10)) {
+            case 0:
+                engine.advance(10 * rng.nextBelow(4));
+                break;
+            case 1:
+                engine.advance(kQuantum * rng.nextBelow(3));
+                break;
+            case 2:
+                engine.yield();
+                break;
+            case 3:
+                // Absolute quantized wake-up: readyTime ties on one
+                // core and candidate ties across cores.
+                engine.sleepUntil(base + kQuantum * rng.nextBelow(3));
+                break;
+            case 4:
+                engine.wait(queue);
+                break;
+            case 5: {
+                // Quantized deadline: often equal to a sleeper's
+                // candidate time.
+                const bool notified = engine.waitUntil(
+                    rng.chance(0.3) ? never : queue,
+                    base + kQuantum * (1 + rng.nextBelow(3)));
+                log.add(notified);
+                out.timeouts += !notified;
+                break;
+            }
+            case 6:
+                engine.notifyOne(queue);
+                break;
+            case 7:
+                engine.notifyAll(queue);
+                break;
+            case 8:
+                if (may_spawn) {
+                    const auto core =
+                        static_cast<CoreId>(rng.nextBelow(kCores));
+                    const int child_ops =
+                        static_cast<int>(5 + rng.nextBelow(20));
+                    engine.spawn("child", core, [&, child_ops] {
+                        ExitLog guard{engine, log, out,
+                                      engine.currentThread()->id()};
+                        mark();
+                        ops(child_ops, false);
+                    });
+                } else {
+                    engine.sleepFor(kQuantum);
+                }
+                break;
+            default:
+                engine.sleepFor(10 * rng.nextBelow(15));
+                break;
+            }
+            mark();
+        }
+    };
+
+    // Every tie resolves before the random phase starts at kRandomAt,
+    // so nothing else perturbs it; tie_log records who won.
+    std::vector<std::uint64_t> tie_log;
+    auto tied = [&](Cycles tie_at, std::uint64_t tag, bool timed) {
+        return [&, tie_at, tag, timed] {
+            ExitLog guard{engine, log, out, engine.currentThread()->id()};
+            mark();
+            if (timed)
+                engine.waitUntil(never, tie_at);
+            else
+                engine.sleepUntil(tie_at);
+            tie_log.push_back(tag);
+            tie_log.push_back(engine.now());
+            mark();
+            engine.sleepUntil(kRandomAt);
+            mark();
+            ops(120, true);
+        };
+    };
+    // Tie 1: three threads on core 0 ready at the same time (FIFO).
+    for (std::uint64_t i = 0; i < 3; ++i)
+        engine.spawn("same-core", 0, tied(1'000, 10 + i, false));
+    // Tie 2: equal candidate times on cores 1 and 2 (lower core first).
+    engine.spawn("cross-b", 2, tied(2'000, 21, false));
+    engine.spawn("cross-a", 1, tied(2'000, 20, false));
+    // Tie 3: a deadline equal to a candidate time (the candidate runs
+    // first; the timeout fires after it).
+    engine.spawn("deadline", 3, tied(3'000, 31, true));
+    engine.spawn("candidate", 4, tied(3'000, 30, false));
+    // Random workers on every core.
+    for (int c = 0; c < kCores; ++c) {
+        const Cycles first_wake = kRandomAt + kQuantum * rng.nextBelow(5);
+        engine.spawn("worker", c, [&, first_wake] {
+            ExitLog guard{engine, log, out, engine.currentThread()->id()};
+            mark();
+            engine.sleepUntil(first_wake);
+            mark();
+            ops(80, true);
+        });
+    }
+    // Ticker: keeps notifying until stopped (then stranded).
+    engine.spawn("ticker", kCores - 1, [&] {
+        ExitLog guard{engine, log, out, engine.currentThread()->id()};
+        for (std::uint64_t k = 0;; ++k) {
+            engine.sleepUntil(quantize(engine.now()) + 3 * kQuantum);
+            engine.notifyAll(queues[k % queues.size()]);
+            mark();
+        }
+    });
+    // Controller: stops the run mid-flight, then parks forever.
+    engine.spawn("controller", kCores - 2, [&] {
+        ExitLog guard{engine, log, out, engine.currentThread()->id()};
+        engine.sleepUntil(kStopAt);
+        mark();
+        engine.stop();
+        engine.wait(parked);
+    });
+
+    engine.run();
+    out.stranded = engine.liveThreads();
+    log.add(out.stranded);
+    for (int c = 0; c < kCores; ++c)
+        log.add(engine.coreNow(c));
+    engine.unwindStranded();
+    log.add(engine.liveThreads());
+    for (std::uint64_t v : tie_log)
+        log.add(v);
+    engine.setObserver(nullptr);
+    out.ties = tie_log;
+    out.digest = log.h;
+    return out;
+}
+
+} // anonymous namespace
+
+TEST(SchedulerOracle, ResolvesTiesDeterministically)
+{
+    const OracleRun run = runSchedulerOracle(1, 0);
+    // FIFO among equal readyTime on core 0; core 1 before core 2 on an
+    // equal candidate time; a candidate before an equal deadline.
+    EXPECT_EQ(run.ties, (std::vector<std::uint64_t>{
+                            10, 1'000, 11, 1'000, 12, 1'000, //
+                            20, 2'000, 21, 2'000,            //
+                            30, 3'000, 31, 3'000}));
+}
+
+TEST(SchedulerOracle, ExercisesEveryPath)
+{
+    for (const double interrupts : {0.0, 20'000.0}) {
+        const OracleRun run = runSchedulerOracle(1, interrupts);
+        EXPECT_GT(run.timeouts, 50u);
+        EXPECT_GT(run.exits, 20u);   // thread exit
+        EXPECT_GT(run.stranded, 5u); // stop with live threads
+        EXPECT_EQ(run.unwound, run.stranded);
+    }
+}
+
+TEST(SchedulerOracle, DispatchLogMatchesPinnedDigest)
+{
+    // Any change to the scheduler's data structures or control
+    // transfer must reproduce every decision, so these never move.
+    EXPECT_EQ(runSchedulerOracle(1, 0).digest, 0x094810df9b8fdd35ull);
+    EXPECT_EQ(runSchedulerOracle(9001, 0).digest, 0xbec02da339ae56baull);
+    EXPECT_EQ(runSchedulerOracle(7, 20'000).digest, 0x247b809183c611efull);
+    EXPECT_EQ(runSchedulerOracle(7, 20'000).digest,
+              runSchedulerOracle(7, 20'000).digest);
+}

@@ -6,7 +6,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
+#include <set>
+
 #include "apps/kvcache.hh"
+#include "support/hash.hh"
 #include "workloads/memtier.hh"
 #include "workloads/spec.hh"
 
@@ -183,4 +188,94 @@ TEST(Memtier, DrivesServerAndVerifiesPayloads)
         20.0 / throughput * static_cast<double>(kCoreFreqHz);
     EXPECT_NEAR(client.latencies().mean(), expected_latency_cycles,
                 expected_latency_cycles * 0.35);
+}
+
+TEST(Memtier, CountsTamperedResponses)
+{
+    // A one-connection stand-in for KvCache that answers 12 requests,
+    // honestly on every fourth and tampered otherwise: a bad status,
+    // a value length that does not match the op, or (for a GET) a
+    // fingerprint of a value nobody stored.
+    mem::MachineConfig mc;
+    mc.engine.numCores = 8;
+    mem::Machine machine(mc);
+    os::Kernel kernel(machine);
+    auto &engine = machine.engine();
+    constexpr int kPort = 7'100;
+    constexpr int kRequests = 12;
+    constexpr std::uint32_t kValue = 64;
+
+    MemtierConfig client_config;
+    client_config.threads = 1;
+    client_config.connectionsPerThread = 1;
+    client_config.valueSize = kValue;
+    MemtierClient client(kernel, kPort, client_config);
+
+    engine.spawn("fake-server", 0, [&] {
+        const int listen_fd = kernel.listenTcp(kPort);
+        client.start(1);
+        int fd;
+        while ((fd = kernel.accept(listen_fd)) < 0)
+            engine.sleepFor(1'000);
+        std::set<std::uint64_t> stored;
+        std::uint64_t stored_fp = 0;
+        std::vector<std::uint8_t> req(512);
+        std::vector<std::uint8_t> resp(apps::KvProtocol::kResponseHeader +
+                                       kValue);
+        for (int i = 0; i < kRequests; ++i) {
+            std::int64_t n;
+            while ((n = kernel.recv(fd, req.data(), req.size())) <= 0)
+                engine.sleepFor(1'000);
+            apps::KvOp op;
+            std::uint64_t key = 0;
+            std::uint32_t value_len = 0;
+            ASSERT_TRUE(apps::KvProtocol::decodeRequest(
+                req.data(), static_cast<std::uint64_t>(n), &op, &key,
+                &value_len));
+            const bool is_get = op == apps::KvOp::Get;
+            if (!is_get) {
+                stored.insert(key);
+                stored_fp = fastHash64(
+                    req.data() + apps::KvProtocol::kRequestHeader + 8,
+                    std::min<std::uint32_t>(value_len, 64));
+            }
+            std::uint32_t resp_value = is_get ? kValue : 0;
+            std::uint64_t fp = stored.count(key) ? stored_fp : 0;
+            std::uint8_t status = 0;
+            std::uint32_t claimed = resp_value;
+            switch (i % 4) {
+            case 1:
+                status = 1;
+                break;
+            case 2:
+                claimed = resp_value + 1;
+                break;
+            case 3:
+                if (is_get)
+                    fp = 0x1234;
+                else
+                    status = 2;
+                break;
+            default:
+                break;
+            }
+            std::fill(resp.begin(), resp.end(), 0);
+            resp[0] = status;
+            std::memcpy(resp.data() + 1, &claimed, 4);
+            if (is_get) {
+                std::memcpy(resp.data() +
+                                apps::KvProtocol::kResponseHeader,
+                            &fp, 8);
+            }
+            kernel.send(fd, resp.data(),
+                        apps::KvProtocol::kResponseHeader + resp_value);
+        }
+        engine.sleepFor(100'000);
+        client.stop();
+        engine.stop();
+    });
+    engine.run();
+
+    EXPECT_EQ(client.completed(), static_cast<std::uint64_t>(kRequests));
+    EXPECT_EQ(client.corrupted(), 9u);
 }
