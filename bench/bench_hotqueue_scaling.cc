@@ -32,6 +32,7 @@
 #include <benchmark/benchmark.h>
 
 #include "hotcalls/hotqueue.hh"
+#include "sdk/spinlock.hh"
 
 using namespace hc;
 using namespace hc::bench;

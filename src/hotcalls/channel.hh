@@ -1,0 +1,295 @@
+/**
+ * @file
+ * The channel core shared by both HotCall channels.
+ *
+ * The paper's HotCall (Section 4.2, Figure 9) is one requester
+ * protocol: claim the channel within a spin budget, marshal with the
+ * SDK's own edger8r-generated code, publish, spin on completion, and
+ * fall back to the conventional SDK call on timeout. The single-line
+ * HotCallService (hotcall.hh) and the multi-slot HotQueue
+ * (hotqueue.hh) differ only in how a request is signalled, which
+ * they plug into Channel through the claim/publish/completed/
+ * reclaim/release hooks; Channel implements everything else once.
+ */
+
+#ifndef HC_HOTCALLS_CHANNEL_HH
+#define HC_HOTCALLS_CHANNEL_HH
+
+#include <cstdint>
+#include <functional>
+#include <memory>
+#include <string>
+#include <vector>
+
+#include "guard/guard.hh"
+#include "mem/arena.hh"
+#include "sdk/runtime.hh"
+
+namespace hc::hotcalls {
+
+/** Which direction a channel accelerates. */
+enum class Kind {
+    HotEcall, //!< untrusted requester -> trusted responder
+    HotOcall, //!< trusted requester -> untrusted responder
+};
+
+/**
+ * Resolve a channel's FastPath switch: an explicit config value (0 or
+ * 1) wins; -1 consults the HC_FASTPATH environment variable and
+ * defaults to ON for hot channels. With the switch off a channel is
+ * bit-identical to the pre-FastPath implementation (same allocations,
+ * same charges, same RNG draws).
+ */
+bool resolveFastPath(int config_value);
+
+/** Tunables common to both channels (paper Section 4.2). */
+struct ChannelConfig {
+    /** Timeout policy (shared with the porting layer): the fixed
+     *  claim budget plus Sentinel's adaptive-budget and
+     *  reclaim-deadline knobs (guard/guard.hh). */
+    guard::TimeoutPolicy timeout;
+    /** Probability of a scheduling hiccup on the responder per
+     *  handled call (TLB shootdowns, SMIs, ...); feeds the CDF tail. */
+    double hiccupChance = 0.012;
+    /** FastPath data plane switch: -1 = auto (HC_FASTPATH env,
+     *  default on), 0 = off (legacy marshalling, bit-identical to
+     *  the pre-FastPath channel), 1 = on. */
+    int fastPath = -1;
+    /** Payload bytes carried inline in the staging slot's own lines
+     *  next to the channel (rounded up to whole cache lines); 0
+     *  disables inline staging. Applies to HotOcall only: HotEcall
+     *  staging must live in enclave memory, not in the shared
+     *  (untrusted) channel lines. */
+    std::uint64_t inlinePayloadBytes = 64;
+    /** Spill-arena capacity per staging slot; 0 disables (oversized
+     *  payloads go straight to the legacy heap staging). */
+    std::uint64_t arenaBytes = 4096;
+};
+
+/** Run statistics common to both channels. */
+struct ChannelStats {
+    std::uint64_t calls = 0;     //!< completed via the channel
+    std::uint64_t fallbacks = 0; //!< timed out -> SDK path (counted
+                                 //!< once per logical call, however
+                                 //!< many attempts expired)
+    std::uint64_t aborts = 0;    //!< completion wait cut short by stop
+    std::uint64_t timeoutAttempts = 0; //!< individual expired attempts
+    std::uint64_t responderPolls = 0;
+    std::uint64_t wakeups = 0;      //!< parked-responder signals
+    Cycles responderBusyCycles = 0; //!< time inside handlers
+    // FastPath staging placement (calls that staged any payload).
+    std::uint64_t fastCalls = 0;    //!< staged via the fast plane
+    std::uint64_t inlineStaged = 0; //!< used the inline slot lines
+    std::uint64_t arenaStaged = 0;  //!< used the spill arena
+    std::uint64_t heapStaged = 0;   //!< spilled past the arena to heap
+    // Sentinel quarantine (guard/guard.hh). Degraded calls also count
+    // as fallbacks (they took the SDK path) but spend zero attempts.
+    std::uint64_t degradedCalls = 0; //!< shed straight to the SDK
+    Cycles degradedCycles = 0;       //!< time spent quarantined
+};
+
+/**
+ * A fast-call channel: the paper's single-line HotCallService and the
+ * multi-slot HotQueue are drop-in alternatives behind it, so callers
+ * (the porting layer, the apps) switch implementations by
+ * construction only.
+ */
+class Channel
+{
+  public:
+    virtual ~Channel() = default;
+    Channel(const Channel &) = delete;
+    Channel &operator=(const Channel &) = delete;
+
+    /** Spawn the responder side (must be called before call()). */
+    virtual void start() = 0;
+
+    /**
+     * Ask the responders to exit and (when invoked from a simulated
+     * thread) wait until they have, so the channel lines can be
+     * released safely afterwards. Idempotent.
+     */
+    void stop();
+
+    /**
+     * Issue a call through the channel. For HotOcall this must run
+     * inside the enclave (like EnclaveRuntime::ocall); for HotEcall
+     * outside. Falls back to the conventional SDK call when the
+     * channel cannot take it within the claim budget.
+     * @return the callee's scalar return value
+     */
+    std::uint64_t call(int id, const edl::Args &args);
+
+    /** Name-resolving convenience overload. */
+    std::uint64_t call(const std::string &name, const edl::Args &args);
+
+    Kind kind() const { return kind_; }
+
+    /** @return the channel's Sentinel guard, or null (guard off). */
+    const guard::ChannelGuard *guard() const { return guard_; }
+
+  protected:
+    /** One logical call's requester state (on the requester stack). */
+    struct Request {
+        int id;
+        const edl::Args &args;
+        bool probing = false;    //!< Sentinel quarantine probe
+        Cycles start = 0;        //!< latency anchor (after the glue)
+        int attempt = 0;         //!< failed claim attempts so far
+        std::size_t slot = 0;    //!< claimed staging slot
+        std::uint64_t epoch = 0; //!< claim generation (ring reclaim)
+        bool woke = false;       //!< ring: a scale-up wake succeeded
+        bool fast = false;       //!< ocall staged via the fast plane
+        edl::StagedCall staged{}; //!< legacy ocall staging
+        std::uint64_t retval = 0; //!< HotEcall result (responder-set)
+    };
+
+    /**
+     * One in-flight request's staging: the request a responder reads
+     * plus the FastPath arenas, recycled across the calls that pass
+     * through the slot (never reallocated per call).
+     */
+    struct StagingSlot {
+        int callId = -1;
+        edl::StagedCall *ocall = nullptr; //!< the *data pointer
+        Request *ecall = nullptr;
+        std::unique_ptr<mem::StagingArena> inlineArena;
+        std::unique_ptr<mem::StagingArena> arena;
+        edl::FastStaging staging;
+        edl::StagedCall scratch; //!< recycled in place of stack staging
+        bool usedArena = false;  //!< in-flight call staged into arena
+    };
+
+    /** Outcome of one claim attempt. */
+    enum class Claim {
+        Won,     //!< the channel is ours: stage and publish
+        Busy,    //!< expired attempt: pause and retry within budget
+        Aborted, //!< the run is being torn down: return 0
+        Lost,    //!< claim voided by Sentinel: reissue on the SDK path
+    };
+
+    /**
+     * @param family   "hot" or "hotq": names the guard, the SimCheck
+     *                 shadow and the responders
+     * @param config, stats  the concrete channel's own (extended)
+     *                 members
+     * @param report_first  report success to the guard before copying
+     *                 fast results out (single line) rather than after
+     *                 releasing the slot (ring): each keeps its order
+     */
+    Channel(sdk::EnclaveRuntime &runtime, Kind kind, const char *family,
+            const ChannelConfig &config, ChannelStats &stats,
+            bool report_first);
+
+    /** Allocate one control line in untrusted memory: a SimCheck sync
+     *  word, freed (or deliberately leaked) by teardown(). */
+    Addr allocLine();
+
+    /**
+     * Finish construction after the control lines: adopt the Sentinel
+     * guard, resolve FastPath and allocate @p slots staging slots —
+     * strictly after the lines, so a disabled fast path leaves the
+     * address layout (and every cache interaction) bit-identical to
+     * the pre-FastPath channel.
+     */
+    void initChannel(std::size_t slots);
+
+    /** Destructor body: stop(), then release the lines. */
+    void teardown();
+
+    // ---- Signalling-protocol hooks -----------------------------------
+
+    /** One claim attempt; on Won, @p req.slot names the slot. */
+    virtual Claim claim(Request &req) = 0;
+    /** Publish the staged request and signal the responder.
+     *  @return false when the claim was voided meanwhile. */
+    virtual bool publish(Request &req) = 0;
+    /** One priced completion poll. */
+    virtual bool completed(Request &req) = 0;
+    /** Guard on: @return true when the request was given up on (stuck
+     *  past its deadline) and the call must reissue on the SDK. */
+    virtual bool reclaim(Request &req, Cycles wait_start) = 0;
+    /** Release the claimed slot after the results are harvested. */
+    virtual void release(Request &req) = 0;
+    /** The completion wait was aborted by an engine stop. */
+    virtual void onAbort(Request &) {}
+    /** A claim attempt (or the whole budget) expired. */
+    virtual void onBusy(Request &) {}
+    /** Quarantine entry with wedged responders: spawn a replacement
+     *  within the guard's respawn budget. */
+    virtual void respawn() = 0;
+    /** stop(): release parked responders so they observe the stop. */
+    virtual void wakeResponders() = 0;
+    /** stop(), guard on, after the join: protocol-specific drain. */
+    virtual void afterJoin() {}
+    /** FastPath staging is about to recycle slot @p index. */
+    virtual void onStagingRecycle(std::size_t) {}
+
+    // ---- Shared pieces -----------------------------------------------
+
+    /** Execute the request staged in slot @p index (responder side). */
+    void serve(std::size_t index);
+
+    /** HotEcall responder: park inside the enclave with one
+     *  conventional ecall. @return the TCS, or null when the
+     *  responder must exit first (stop, or @p retired). */
+    sgx::Tcs *enterEnclave(const std::function<bool()> &retired);
+    void exitEnclave(sgx::Tcs *tcs);
+
+    /** Responder: park for good (an injected wedge) until stop or
+     *  @p retired; stepped so the stopAtCycle backstop still fires. */
+    void wedge(const std::function<bool()> &retired);
+
+    /** Responder epilogue after publishing a completion: heartbeat,
+     *  then the scheduling-hiccup draw. */
+    void afterServe();
+
+    /** PAUSE plus the per-poll jitter draw. */
+    void pauseJittered();
+
+    /** One priced access to a control line. */
+    void touch(Addr line, bool write)
+    {
+        machine_.memory().accessWord(line, write);
+    }
+
+    const std::string &name() const { return name_; }
+
+    sdk::EnclaveRuntime &runtime_;
+    mem::Machine &machine_;
+    const Kind kind_;
+    std::vector<StagingSlot> staging_;
+    /** Every responder fiber ever spawned, in join order. */
+    std::vector<sim::Thread *> responders_;
+    bool stopRequested_ = false;
+    /** Sentinel supervision, or null when the guard is off. */
+    guard::ChannelGuard *guard_ = nullptr;
+
+  private:
+    void stage(Request &req);
+    void noteSuccess(const Request &req);
+    /** Count a fallback and reissue the call on the SDK path. */
+    std::uint64_t fallbackToSdk(Request &req, bool exhausted = false);
+    std::uint64_t sdkCall(int id, const edl::Args &args);
+    void countPlacement(const edl::FastStaging &staging);
+    /** Refresh the degradedCycles mirror from the guard. */
+    void mirrorDegraded(Cycles now);
+    /** Wait (charging time, bounded) for every responder to exit. */
+    void joinResponders();
+    /** One priced access to slot @p index's spill-arena base line
+     *  (payload handoff for arena-staged calls; inline payloads ride
+     *  the control-line transfers already priced). */
+    void touchArena(std::size_t index, bool write);
+
+    const ChannelConfig &baseConfig_;
+    ChannelStats &baseStats_;
+    const bool reportFirst_;
+    const std::string name_;
+    bool fastOn_ = false;     //!< resolved FastPath switch
+    bool stopped_ = false;    //!< stop() completed (join done)
+    std::vector<Addr> lines_; //!< control lines, allocation order
+};
+
+} // namespace hc::hotcalls
+
+#endif // HC_HOTCALLS_CHANNEL_HH

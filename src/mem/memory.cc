@@ -8,7 +8,6 @@
 #include <cmath>
 
 #include "check/check.hh"
-#include "support/env.hh"
 #include "support/logging.hh"
 
 namespace hc::mem {
@@ -19,9 +18,6 @@ MemoryModel::MemoryModel(sim::Engine &engine, AddressSpace &space,
       cache_(params.llcSize, params.llcWays),
       mee_(params_, AddressSpace::kEpcBase, params.epcVirtualSize, seed)
 {
-    bulkSpan_ = params_.bulkSpanMode < 0
-                    ? envFlagOr("HC_BULKSPAN", true)
-                    : params_.bulkSpanMode != 0;
 }
 
 Cycles

@@ -90,10 +90,13 @@ class MemoryModel
     void evictRange(Addr addr, std::uint64_t len);
 
     /**
-     * Select the BulkSpan plane at runtime (test/ablation hook; the
-     * construction-time default comes from CostParams::bulkSpanMode /
-     * HC_BULKSPAN). Both positions are bit-identical in every
-     * simulated output — only host-side speed differs.
+     * Select the BulkSpan plane (on by default). The plane is
+     * range-batched LLC probes and MEE walks instead of independent
+     * per-line ones: a host-side fast path, not a model change, so
+     * both positions are bit-identical in every simulated output.
+     * Switching it off is a test/ablation hook only — the per-line
+     * loops stay as the differential oracle (test_mem's span tests,
+     * Determinism.BulkSpanOnOffBitIdentical, bench_ablation_bulkspan).
      */
     void setBulkSpan(bool enabled) { bulkSpan_ = enabled; }
 

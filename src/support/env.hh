@@ -2,8 +2,8 @@
  * @file
  * Strict boolean environment-flag parsing.
  *
- * Several switches (HC_FASTPATH, HC_CHECK, HC_BULKSPAN, HC_GUARD)
- * are read from the environment. Historically each call site open-coded its own parse
+ * Several switches (HC_FASTPATH, HC_CHECK, HC_GUARD) are read from
+ * the environment. Historically each call site open-coded its own parse
  * with different lenient rules ("anything but '0' is on"), so a typo
  * like HC_CHECK=ture silently enabled — or HC_FASTPATH=off silently
  * ENABLED — the feature. envFlag() parses strictly: a recognized

@@ -85,6 +85,15 @@ class Digest
     std::string text_;
 };
 
+/** Pin @p machine's BulkSpan plane before anything is built on it,
+ *  so enclave construction runs on the pinned plane too. */
+inline mem::Machine &
+pinBulkSpan(mem::Machine &machine, bool bulk_span)
+{
+    machine.memory().setBulkSpan(bulk_span);
+    return machine;
+}
+
 /** Machine + enclave runtime used by every scenario. */
 struct Fixture {
     mem::Machine machine;
@@ -92,15 +101,15 @@ struct Fixture {
     sdk::EnclaveRuntime runtime;
     std::unique_ptr<fault::FaultInjector> injector;
 
-    /** @p bulk_span pins the BulkSpan plane (-1: HC_BULKSPAN / on).
-     *  Both positions must digest identically — the plane is a host
+    /** @p bulk_span pins the BulkSpan plane (default on). Both
+     *  positions must digest identically — the plane is a host
      *  fast path, not a model change. @p guard_mode pins Sentinel
      *  (-1: HC_GUARD / on) under the same contract: a quiet run never
      *  trips a guard intervention, so both positions must digest
      *  identically too. */
     explicit Fixture(bool with_interrupts, bool check_on,
                      const fault::FaultPlan *plan = nullptr,
-                     int bulk_span = -1, int guard_mode = -1)
+                     bool bulk_span = true, int guard_mode = -1)
         : machine([&] {
               mem::MachineConfig config;
               config.engine.numCores = 8;
@@ -108,11 +117,11 @@ struct Fixture {
               config.engine.interruptMeanCycles =
                   with_interrupts ? 7'000'000 : 0;
               config.check.enabled = check_on;
-              config.mem.bulkSpanMode = bulk_span;
               config.guard.mode = guard_mode;
               return config;
           }()),
-          platform(machine), runtime(platform, "determinism", kEdl, 4)
+          platform(pinBulkSpan(machine, bulk_span)),
+          runtime(platform, "determinism", kEdl, 4)
     {
         if (plan) {
             injector = std::make_unique<fault::FaultInjector>(
@@ -163,7 +172,7 @@ struct Fixture {
 inline Digest
 fig3Scenario(bool with_interrupts, bool hiccups, bool check_on,
              int calls, const fault::FaultPlan *plan = nullptr,
-             int bulk_span = -1, int guard_mode = -1)
+             bool bulk_span = true, int guard_mode = -1)
 {
     Fixture f(with_interrupts, check_on, plan, bulk_span, guard_mode);
     hotcalls::HotCallConfig config;
@@ -202,7 +211,7 @@ inline Digest
 hotqueueScenario(bool with_interrupts, bool hiccups, bool check_on,
                  int calls_each,
                  const fault::FaultPlan *plan = nullptr,
-                 int bulk_span = -1, int guard_mode = -1)
+                 bool bulk_span = true, int guard_mode = -1)
 {
     Fixture f(with_interrupts, check_on, plan, bulk_span, guard_mode);
     hotcalls::HotQueueConfig config;
@@ -267,7 +276,7 @@ hotqueueScenario(bool with_interrupts, bool hiccups, bool check_on,
 inline Digest
 memorySweepScenario(bool check_on,
                     const fault::FaultPlan *plan = nullptr,
-                    int bulk_span = -1, int guard_mode = -1)
+                    bool bulk_span = true, int guard_mode = -1)
 {
     Fixture f(false, check_on, plan, bulk_span, guard_mode);
     std::vector<Cycles> costs;
@@ -305,7 +314,7 @@ memorySweepScenario(bool check_on,
 inline Digest
 sdkLoopScenario(bool check_on, int calls,
                 const fault::FaultPlan *plan = nullptr,
-                int bulk_span = -1, int guard_mode = -1)
+                bool bulk_span = true, int guard_mode = -1)
 {
     Fixture f(false, check_on, plan, bulk_span, guard_mode);
     std::vector<Cycles> latencies;
@@ -333,14 +342,14 @@ goldenText(const fault::FaultPlan *plan = nullptr,
            int guard_mode = -1)
 {
     std::string text;
-    text += fig3Scenario(false, false, false, 400, plan, -1,
+    text += fig3Scenario(false, false, false, 400, plan, true,
                          guard_mode)
                 .text();
-    text += hotqueueScenario(false, false, false, 150, plan, -1,
+    text += hotqueueScenario(false, false, false, 150, plan, true,
                              guard_mode)
                 .text();
-    text += memorySweepScenario(false, plan, -1, guard_mode).text();
-    text += sdkLoopScenario(false, 200, plan, -1, guard_mode).text();
+    text += memorySweepScenario(false, plan, true, guard_mode).text();
+    text += sdkLoopScenario(false, 200, plan, true, guard_mode).text();
     return text;
 }
 
@@ -371,16 +380,16 @@ inline const char *kFastPathEdl = R"(
 inline Digest
 fastPathScenario(bool check_on, int fast_path, int calls,
                  const fault::FaultPlan *plan = nullptr,
-                 int bulk_span = -1, int guard_mode = -1)
+                 bool bulk_span = true, int guard_mode = -1)
 {
     mem::MachineConfig machine_config;
     machine_config.engine.numCores = 8;
     machine_config.engine.seed = 42;
     machine_config.engine.interruptMeanCycles = 0;
     machine_config.check.enabled = check_on;
-    machine_config.mem.bulkSpanMode = bulk_span;
     machine_config.guard.mode = guard_mode;
     mem::Machine machine(machine_config);
+    machine.memory().setBulkSpan(bulk_span);
     std::unique_ptr<fault::FaultInjector> injector;
     if (plan) {
         injector = std::make_unique<fault::FaultInjector>(
@@ -461,9 +470,9 @@ inline std::string
 fastPathGoldenText(const fault::FaultPlan *plan = nullptr,
                    int guard_mode = -1)
 {
-    return fastPathScenario(false, 0, 120, plan, -1, guard_mode)
+    return fastPathScenario(false, 0, 120, plan, true, guard_mode)
                .text() +
-           fastPathScenario(false, 1, 120, plan, -1, guard_mode)
+           fastPathScenario(false, 1, 120, plan, true, guard_mode)
                .text();
 }
 

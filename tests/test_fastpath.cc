@@ -15,9 +15,11 @@
 #include <functional>
 
 #include "check/check.hh"
+#include "hotcalls/hotcall.hh"
 #include "hotcalls/hotqueue.hh"
 #include "mem/arena.hh"
 #include "mem/buffer.hh"
+#include "sdk/spinlock.hh"
 
 using namespace hc;
 using namespace hc::hotcalls;
@@ -117,7 +119,7 @@ fastConfig(std::uint64_t inline_bytes, std::uint64_t arena_bytes)
     config.responderCores = {2};
     config.fastPath = 1;
     config.inlinePayloadBytes = inline_bytes;
-    config.arenaBytesPerSlot = arena_bytes;
+    config.arenaBytes = arena_bytes;
     return config;
 }
 

@@ -21,12 +21,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <string>
 
 #include "check/check.hh"
 #include "fault/fault.hh"
 #include "guard/guard.hh"
+#include "hotcalls/hotcall.hh"
 #include "hotcalls/hotqueue.hh"
 #include "mem/machine.hh"
 #include "sdk/runtime.hh"
@@ -561,3 +563,181 @@ TEST(GuardIntegration, StalledPublisherRetiredThroughPublishLeash)
     EXPECT_EQ(ck->count(check::ViolationKind::Leak), 0u);
     machine.installFault(nullptr);
 }
+
+// ----------------------------------------------------------------------
+// Channel-level shed accounting, over both channels and both kinds.
+// ----------------------------------------------------------------------
+
+namespace {
+
+struct ShedCase {
+    bool queue;          //!< HotQueue (true) or HotCallService
+    hotcalls::Kind kind;
+};
+
+std::string
+shedCaseName(const ::testing::TestParamInfo<ShedCase> &info)
+{
+    return std::string(info.param.queue ? "HotQueue" : "HotCall") +
+           (info.param.kind == hotcalls::Kind::HotEcall ? "Ecall"
+                                                        : "Ocall");
+}
+
+/** Counters the test reads from either channel's stats. */
+struct ShedSnapshot {
+    std::uint64_t fallbacks = 0;
+    std::uint64_t degradedCalls = 0;
+    std::uint64_t timeoutAttempts = 0;
+    std::uint64_t sheds = 0; //!< the guard's own count
+};
+
+template <typename ChannelT>
+ShedSnapshot
+snapshot(const ChannelT &channel)
+{
+    ShedSnapshot s;
+    s.fallbacks = channel.stats().fallbacks;
+    s.degradedCalls = channel.stats().degradedCalls;
+    s.timeoutAttempts = channel.stats().timeoutAttempts;
+    s.sheds = channel.guard()->stats().sheds;
+    return s;
+}
+
+/**
+ * Quarantine @p channel behind a dead responder, then check that every
+ * shed call is one zero-attempt fallback and that a stop() from outside
+ * the simulation leaves the channel's degraded time equal to its
+ * guard's (the open quarantine interval closed at the run's end).
+ */
+template <typename ChannelT>
+void
+checkShedAccounting(mem::Machine &machine, sgx::SgxPlatform &platform,
+                    sdk::EnclaveRuntime &runtime, ChannelT &channel,
+                    hotcalls::Kind kind)
+{
+    auto &engine = machine.engine();
+    int sheds = 0;
+    engine.spawn("driver", 0, [&] {
+        channel.start();
+        sgx::Tcs *tcs = nullptr;
+        if (kind == hotcalls::Kind::HotOcall) {
+            tcs = runtime.enclave().acquireTcs();
+            platform.eenter(runtime.enclave(), *tcs);
+        }
+        for (int i = 0; i < 40; ++i) {
+            const ShedSnapshot before = snapshot(channel);
+            if (kind == hotcalls::Kind::HotOcall)
+                channel.call("ocall_empty", {});
+            else
+                channel.call("ecall_add",
+                             {edl::Arg::value(1), edl::Arg::value(2)});
+            const ShedSnapshot after = snapshot(channel);
+            if (after.sheds == before.sheds)
+                continue;
+            ++sheds;
+            EXPECT_EQ(after.sheds, before.sheds + 1);
+            EXPECT_EQ(after.fallbacks, before.fallbacks + 1);
+            EXPECT_EQ(after.degradedCalls, before.degradedCalls + 1);
+            EXPECT_EQ(after.timeoutAttempts, before.timeoutAttempts);
+        }
+        if (tcs) {
+            platform.eexit();
+            runtime.enclave().releaseTcs(tcs);
+        }
+        // No channel stop() here: teardown happens after run().
+        engine.stop();
+    });
+    engine.run();
+    engine.unwindStranded();
+
+    ASSERT_NE(channel.guard(), nullptr);
+    EXPECT_GT(sheds, 0);
+    EXPECT_TRUE(channel.guard()->degraded());
+    EXPECT_EQ(channel.stats().degradedCalls,
+              channel.guard()->stats().sheds);
+
+    channel.stop(); // outside the simulation
+    Cycles end = 0;
+    for (CoreId core = 0; core < engine.numCores(); ++core)
+        end = std::max(end, engine.coreNow(core));
+    const Cycles degraded = channel.guard()->stats().degradedCycles;
+    EXPECT_GT(degraded, 0u);
+    EXPECT_LE(degraded, end);
+    EXPECT_EQ(channel.stats().degradedCycles, degraded);
+}
+
+} // anonymous namespace
+
+class ShedAccounting : public ::testing::TestWithParam<ShedCase>
+{
+};
+
+TEST_P(ShedAccounting, ShedCallsAreZeroAttemptFallbacks)
+{
+    const ShedCase param = GetParam();
+    mem::MachineConfig machine_config = checkedConfig();
+    machine_config.guard.mode = 1;
+    machine_config.guard.quarantineAfter = 2;
+    machine_config.guard.livenessWindow = 10'000;
+    machine_config.guard.respawn = false; // the responder stays dead
+    mem::Machine machine(machine_config);
+
+    // A dead responder: the single-line one parks for good on its
+    // first poll, the ring's wedges on the first request it grabs.
+    fault::FaultPlan plan = fault::FaultPlan::quiet(7);
+    plan.name = "dead_responder";
+    plan.site(fault::Site::ResponderNeverWake).probability = 1.0;
+    plan.site(fault::Site::ResponderNeverWake).maxFires = 1;
+    fault::FaultInjector injector(machine.engine(), plan);
+    machine.installFault(&injector);
+    {
+        sgx::SgxPlatform platform(machine);
+        sdk::EnclaveRuntime runtime(platform, "guard-shed", R"(
+            enclave {
+                trusted {
+                    public uint64_t ecall_add(uint64_t a, uint64_t b);
+                };
+                untrusted {
+                    void ocall_empty();
+                };
+            };
+        )",
+                                    4);
+        runtime.registerEcall("ecall_add", [](edl::StagedCall &c) {
+            c.setRetval(c.scalar(0) + c.scalar(1));
+        });
+        runtime.registerOcall("ocall_empty",
+                              [](edl::StagedCall &) {});
+        if (param.queue) {
+            hotcalls::HotQueueConfig config;
+            config.responderCores = {1};
+            config.hiccupChance = 0.0;
+            config.timeout.servingLeash = 20'000;
+            hotcalls::HotQueue channel(runtime, param.kind, config);
+            checkShedAccounting(machine, platform, runtime, channel,
+                                param.kind);
+        } else {
+            hotcalls::HotCallConfig config;
+            config.hiccupChance = 0.0;
+            hotcalls::HotCallService channel(runtime, param.kind, 1,
+                                             config);
+            checkShedAccounting(machine, platform, runtime, channel,
+                                param.kind);
+        }
+    }
+    machine.auditLeaksNow();
+    auto *ck = machine.check();
+    ASSERT_NE(ck, nullptr);
+    EXPECT_EQ(ck->count(check::ViolationKind::Race), 0u);
+    EXPECT_EQ(ck->count(check::ViolationKind::Protocol), 0u);
+    EXPECT_EQ(ck->count(check::ViolationKind::Leak), 0u);
+    machine.installFault(nullptr);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    BothChannels, ShedAccounting,
+    ::testing::Values(ShedCase{false, hotcalls::Kind::HotEcall},
+                      ShedCase{false, hotcalls::Kind::HotOcall},
+                      ShedCase{true, hotcalls::Kind::HotEcall},
+                      ShedCase{true, hotcalls::Kind::HotOcall}),
+    shedCaseName);

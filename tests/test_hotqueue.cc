@@ -13,6 +13,7 @@
 
 #include "hotcalls/hotqueue.hh"
 #include "mem/buffer.hh"
+#include "sdk/spinlock.hh"
 #include "support/stats.hh"
 
 using namespace hc;

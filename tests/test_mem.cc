@@ -539,14 +539,13 @@ namespace {
  * the two planes' strings is the bit-identity contract.
  */
 std::string
-spanTrace(int bulk_span,
+spanTrace(bool bulk_span,
           const std::function<void(Machine &, std::vector<Cycles> &)>
               &body)
 {
-    MachineConfig config;
-    config.mem.bulkSpanMode = bulk_span;
-    Machine machine(config);
-    EXPECT_EQ(machine.memory().bulkSpanEnabled(), bulk_span != 0);
+    Machine machine;
+    EXPECT_TRUE(machine.memory().bulkSpanEnabled()); // always on
+    machine.memory().setBulkSpan(bulk_span);
     std::vector<Cycles> costs;
     runSim(machine, [&] { body(machine, costs); });
     std::string out;
@@ -568,7 +567,7 @@ expectPlanesAgree(const std::function<void(Machine &,
                       &body,
                   const char *what)
 {
-    EXPECT_EQ(spanTrace(0, body), spanTrace(1, body)) << what;
+    EXPECT_EQ(spanTrace(false, body), spanTrace(true, body)) << what;
 }
 
 } // anonymous namespace
@@ -729,12 +728,12 @@ namespace {
  * @return the number of Race violations SimCheck reported.
  */
 std::uint64_t
-spanSyncRaces(int bulk_span, bool with_sync_word)
+spanSyncRaces(bool bulk_span, bool with_sync_word)
 {
     MachineConfig config;
-    config.mem.bulkSpanMode = bulk_span;
     config.check.enabled = true;
     Machine machine(config);
+    machine.memory().setBulkSpan(bulk_span);
     auto &mem = machine.memory();
     const Addr span = machine.space().allocUntrusted(4096, 64);
     const Addr data = machine.space().allocUntrusted(64, 64);
