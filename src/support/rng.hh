@@ -12,7 +12,10 @@
 #ifndef HC_SUPPORT_RNG_HH
 #define HC_SUPPORT_RNG_HH
 
+#include <bit>
 #include <cstdint>
+
+#include "support/logging.hh"
 
 namespace hc {
 
@@ -24,10 +27,37 @@ class Rng
     explicit Rng(std::uint64_t seed = 0x9e3779b97f4a7c15ull);
 
     /** @return the next raw 64-bit value. */
-    std::uint64_t next();
+    std::uint64_t next()
+    {
+        const std::uint64_t result = std::rotl(s_[0] + s_[3], 23) + s_[0];
+        const std::uint64_t t = s_[1] << 17;
 
-    /** @return a uniform integer in [0, bound); bound must be > 0. */
-    std::uint64_t nextBelow(std::uint64_t bound);
+        s_[2] ^= s_[0];
+        s_[3] ^= s_[1];
+        s_[1] ^= s_[2];
+        s_[0] ^= s_[3];
+        s_[2] ^= t;
+        s_[3] = std::rotl(s_[3], 45);
+
+        return result;
+    }
+
+    /**
+     * @return a uniform integer in [0, bound); bound must be > 0.
+     * Defined here so a constant bound (the per-poll jitter) folds
+     * both 64-bit divisions at the call site.
+     */
+    std::uint64_t nextBelow(std::uint64_t bound)
+    {
+        hc_assert(bound > 0);
+        // Rejection sampling to avoid modulo bias.
+        const std::uint64_t threshold = (0 - bound) % bound;
+        for (;;) {
+            const std::uint64_t r = next();
+            if (r >= threshold)
+                return r % bound;
+        }
+    }
 
     /** @return a uniform integer in [lo, hi] inclusive. */
     std::int64_t nextRange(std::int64_t lo, std::int64_t hi);
