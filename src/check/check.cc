@@ -172,7 +172,12 @@ SimCheck::markExempt(Addr addr)
 void
 SimCheck::onWordAccess(Addr addr, bool write)
 {
-    sim::Thread *self = engine_.currentThread();
+    onWordAccessBy(engine_.currentThread(), addr, write);
+}
+
+void
+SimCheck::onWordAccessBy(sim::Thread *self, Addr addr, bool write)
+{
     if (!self)
         return; // host-side setup: single-threaded by construction
 
@@ -602,32 +607,42 @@ HotCallProtocol::~HotCallProtocol()
 void
 HotCallProtocol::onLock()
 {
+    onLockBy(check_.currentThreadName());
+}
+
+void
+HotCallProtocol::onLockBy(const std::string &who)
+{
     if (locked_) {
         check_.reportProtocol(
-            "hotcall '" + name_ + "': lock taken by thread '" +
-            check_.currentThreadName() + "' while already held by '" +
-            holder_ + "' at cycle " +
+            "hotcall '" + name_ + "': lock taken by thread '" + who +
+            "' while already held by '" + holder_ + "' at cycle " +
             std::to_string(check_.engine().now()));
         return;
     }
     locked_ = true;
-    holder_ = check_.currentThreadName();
+    holder_ = who;
 }
 
 void
 HotCallProtocol::onUnlock()
 {
+    onUnlockBy(check_.currentThreadName());
+}
+
+void
+HotCallProtocol::onUnlockBy(const std::string &who)
+{
     if (!locked_) {
         check_.reportProtocol("hotcall '" + name_ +
                               "': unlock of a free lock by thread '" +
-                              check_.currentThreadName() + "'");
+                              who + "'");
         return;
     }
-    if (holder_ != check_.currentThreadName()) {
-        check_.reportProtocol(
-            "hotcall '" + name_ + "': unlock by thread '" +
-            check_.currentThreadName() + "' but held by '" + holder_ +
-            "'");
+    if (holder_ != who) {
+        check_.reportProtocol("hotcall '" + name_ +
+                              "': unlock by thread '" + who +
+                              "' but held by '" + holder_ + "'");
     }
     locked_ = false;
 }

@@ -112,6 +112,10 @@ class SimCheck : public sim::EngineObserver
      *  mem::MemoryModel::accessWord). */
     void onWordAccess(Addr addr, bool write);
 
+    /** onWordAccess() on behalf of @p thread (a parked poller's
+     *  replayed poll, applied while another thread runs). */
+    void onWordAccessBy(sim::Thread *thread, Addr addr, bool write);
+
     /**
      * One bulk transfer of [addr, addr+len) by the current thread
      * (hooked from mem::MemoryModel::readBuffer/writeBuffer and the
@@ -355,6 +359,10 @@ class HotCallProtocol
 
     void onLock();     //!< lock word taken (must have been free)
     void onUnlock();   //!< lock word released (by the holder)
+    /** onLock()/onUnlock() on behalf of thread @p who (a parked
+     *  responder's replayed poll). */
+    void onLockBy(const std::string &who);
+    void onUnlockBy(const std::string &who);
     void onPublish();  //!< request published ("go" raised, under lock)
     void onServe();    //!< responder committed to the published request
     void onComplete(); //!< "go" cleared after execution (by the server)

@@ -367,6 +367,16 @@ class ChannelGuard
         everBeat_ = true;
     }
 
+    /** A parked responder's replayed poll at @p now. Beats land in
+     *  clock order when polled, so a replay (which may run after a
+     *  later beat of another responder) keeps the latest. */
+    void replayHeartbeat(Cycles now)
+    {
+        if (!everBeat_ || now > lastBeat_)
+            lastBeat_ = now;
+        everBeat_ = true;
+    }
+
     // ------------------------------------------------------------------
     // Event counters (the channel owns the actual transitions).
     // ------------------------------------------------------------------

@@ -125,8 +125,14 @@ class Channel
 
     Kind kind() const { return kind_; }
 
-    /** @return the channel's Sentinel guard, or null (guard off). */
-    const guard::ChannelGuard *guard() const { return guard_; }
+    /** @return the channel's Sentinel guard, or null (guard off).
+     *  Parked responders are caught up first: their heartbeats are
+     *  part of what the guard reports. */
+    const guard::ChannelGuard *guard() const
+    {
+        wakeParked();
+        return guard_;
+    }
 
   protected:
     /** One logical call's requester state (on the requester stack). */
@@ -158,6 +164,81 @@ class Channel
         edl::FastStaging staging;
         edl::StagedCall scratch; //!< recycled in place of stack staging
         bool usedArena = false;  //!< in-flight call staged into arena
+    };
+
+    /**
+     * An idle poll loop parked with sim::Engine::park(). The concrete
+     * loop describes one poll as a cycle of blocks (the actions at
+     * one clock value, each followed by one advance) through block();
+     * wake() replays them from the poller's own RNG stream.
+     */
+    class PollParker : public sim::SpinPoller
+    {
+      public:
+        /** @param line  the control line the loop polls
+         *  @param blocks  blocks per poll */
+        PollParker(Channel &channel, Addr line, int blocks)
+            : channel_(channel), line_(line), blocks_(blocks)
+        {
+        }
+
+        /**
+         * Park the calling thread at the start of block 0, unless
+         * parking is off, a FaultInjector is installed, or the line
+         * is not the caller's own (a poll would not be a pure
+         * repeat). Replay never reaches @p limit (exclusive) nor the
+         * core's next interrupt. @p also_watch (0: none) is a line
+         * whose state the poll reads without touching it; every
+         * change to it comes with a touch of that line.
+         * @return the block to resume at: 0 (also when it did not
+         *         park) or a mid-poll block whose predecessors were
+         *         replayed
+         */
+        int park(Cycles limit, Addr also_watch = 0);
+
+        Cycles wake(Cycles time, CoreId core) override;
+
+      protected:
+        /** Apply the replayed effects of block @p phase at clock
+         *  @p t. @return the advance that follows it. */
+        virtual Cycles block(int phase, Cycles t) = 0;
+
+        /** Replayed poll access of the watched line. */
+        Cycles access(bool write);
+        /** Replayed PAUSE plus the jitter draw. */
+        Cycles pause();
+        /** The parked thread. */
+        sim::Thread &self() { return *self_; }
+
+      private:
+        void unwatch();
+
+        Channel &channel_;
+        const Addr line_;
+        const int blocks_;
+        Addr alsoWatch_ = 0;
+        sim::Thread *self_ = nullptr;
+        check::SimCheck *check_ = nullptr;
+        Cycles hitCost_ = 0;    //!< one replayed access
+        std::uint64_t accesses_ = 0; //!< replayed, not yet applied
+        bool anyWrite_ = false;
+        Cycles clock_ = 0;
+        Cycles limit_ = 0;
+        int phase_ = 0;
+    };
+
+    /** The requester's completion wait: poll, then observe and
+     *  pause. */
+    class RequesterParker final : public PollParker
+    {
+      public:
+        RequesterParker(Channel &channel, Addr line)
+            : PollParker(channel, line, 2)
+        {
+        }
+
+      protected:
+        Cycles block(int phase, Cycles t) override;
     };
 
     /** Outcome of one claim attempt. */
@@ -204,8 +285,14 @@ class Channel
     /** Publish the staged request and signal the responder.
      *  @return false when the claim was voided meanwhile. */
     virtual bool publish(Request &req) = 0;
-    /** One priced completion poll. */
-    virtual bool completed(Request &req) = 0;
+    /** The control line a requester polls for completion. */
+    virtual Addr completionLine(const Request &req) const = 0;
+    /** Completion observed (after the priced poll of the line). */
+    virtual bool isCompleted(const Request &req) const = 0;
+    /** Guard on: the earliest clock at which reclaim() could return
+     *  true for a wait that started at @p wait_start. */
+    virtual Cycles reclaimHorizon(const Request &req,
+                                  Cycles wait_start) const;
     /** Guard on: @return true when the request was given up on (stuck
      *  past its deadline) and the call must reissue on the SDK. */
     virtual bool reclaim(Request &req, Cycles wait_start) = 0;
@@ -247,6 +334,11 @@ class Channel
     /** PAUSE plus the per-poll jitter draw. */
     void pauseJittered();
 
+    /** Wake this channel's parked pollers before a change they do
+     *  not watch through a line (stop, pool size, retirement) or a
+     *  read of what their polls update (stats, heartbeats). */
+    void wakeParked() const;
+
     /** One priced access to a control line. */
     void touch(Addr line, bool write)
     {
@@ -285,6 +377,8 @@ class Channel
     ChannelStats &baseStats_;
     const bool reportFirst_;
     const std::string name_;
+    /** This channel's spin-parked pollers (PollParker). */
+    std::vector<PollParker *> parkedPollers_;
     bool fastOn_ = false;     //!< resolved FastPath switch
     bool stopped_ = false;    //!< stop() completed (join done)
     std::vector<Addr> lines_; //!< control lines, allocation order

@@ -59,6 +59,7 @@ HotCallService::respawn()
     // check and is joined at stop(), after the live responder — and
     // put a fresh responder on the same core. The quarantine probe
     // confirms the recovery.
+    wakeParked(); // the parked responder observes its retirement
     sim::Thread *wedged = responders_.front();
     responders_.erase(responders_.begin());
     responders_.push_back(wedged);
@@ -169,15 +170,6 @@ HotCallService::publish(Request &req)
 }
 
 bool
-HotCallService::completed(Request &)
-{
-    // The responder clears the busy flag once it has executed the
-    // call and filled the response.
-    touchChannel(false);
-    return !go_;
-}
-
-bool
 HotCallService::reclaim(Request &req, Cycles wait_start)
 {
     if (requestServed_ ||
@@ -246,30 +238,48 @@ HotCallService::responderLoop(std::uint64_t epoch)
 
     auto *injector = machine_.fault();
     std::uint64_t idle_polls = 0;
-    while (!stopRequested_ && !retired()) {
-        ++stats_.responderPolls;
-        if (guard_)
-            guard_->heartbeat(machine_.now());
+    // An idle poll repeats exactly until a requester touches the
+    // line, so the responder parks on it (SpinPark). A wake may land
+    // mid-poll: `resume` is the block to continue at (its
+    // predecessors were replayed), 0 for a fresh poll.
+    ResponderParker parker(*this, idle_polls);
+    const Cycles min_poll =
+        3 * machine_.memory().params().ownedHit + sdk::kPauseCycles;
+    int resume = 0;
+    while (resume != 0 || (!stopRequested_ && !retired())) {
+        const int from = resume;
+        resume = 0;
+        if (from == 0) {
+            ++stats_.responderPolls;
+            if (guard_)
+                guard_->heartbeat(machine_.now());
 
-        if (injector) {
-            if (injector->fire(fault::Site::ResponderNeverWake)) {
-                // Park for good: requesters see a saturated channel
-                // until the channel (or the engine) stops — or, under
-                // Sentinel, until a respawn retires this fiber.
-                wedge(retired);
-                continue;
+            if (injector) {
+                if (injector->fire(fault::Site::ResponderNeverWake)) {
+                    // Park for good: requesters see a saturated
+                    // channel until the channel (or the engine) stops
+                    // — or, under Sentinel, until a respawn retires
+                    // this fiber.
+                    wedge(retired);
+                    continue;
+                }
+                if (injector->fire(fault::Site::ResponderOversleep)) {
+                    engine.advance(injector->delay(
+                        fault::Site::ResponderOversleep));
+                }
             }
-            if (injector->fire(fault::Site::ResponderOversleep)) {
-                engine.advance(
-                    injector->delay(fault::Site::ResponderOversleep));
-            }
+
+            // Try the lock; on failure just PAUSE and retry.
+            touchChannel(true);
         }
-
-        // Try the lock; on failure just PAUSE and retry.
-        touchChannel(true);
-        if (!lockWord_) {
+        bool locked = from == 2;
+        if (from <= 1 && !lockWord_) {
             lockChannel();
             touchChannel(false); // check the busy/"go" flag
+            locked = true;
+        }
+        bool idle = from == 3;
+        if (locked) {
             if (go_) {
                 idle_polls = 0;
                 touchChannel(false); // read call_ID and *data
@@ -305,9 +315,26 @@ HotCallService::responderLoop(std::uint64_t epoch)
             } else {
                 ++idle_polls;
                 unlockChannel();
+                idle = true;
             }
         }
         pauseJittered();
+
+        if (idle && !stopRequested_ && !retired()) {
+            // Replay stops before the poll whose sleep check would
+            // fire: it cannot come sooner than min_poll per poll.
+            Cycles limit = sim::kNever;
+            if (config_.responderSleep) {
+                limit = idle_polls > config_.idlePollsBeforeSleep
+                            ? 0
+                            : machine_.now() +
+                                  (config_.idlePollsBeforeSleep + 1 -
+                                   idle_polls) * min_poll;
+            }
+            resume = parker.park(limit);
+            if (resume != 0)
+                continue; // the sleep check ran in the replay
+        }
 
         if (config_.responderSleep &&
             idle_polls > config_.idlePollsBeforeSleep &&
@@ -336,6 +363,36 @@ HotCallService::responderLoop(std::uint64_t epoch)
 
     if (tcs)
         exitEnclave(tcs);
+}
+
+Cycles
+HotCallService::ResponderParker::block(int phase, Cycles t)
+{
+    // Nothing this poll observes can change while parked: the sleep
+    // check stays short of its threshold (the park limit), stop and
+    // retirement wake the poller, and a requester reaches the lock
+    // word and the busy flag only through the watched line.
+    HotCallService &s = service_;
+    switch (phase) {
+      case 0: // poll top, then the lock RFO
+        ++s.stats_.responderPolls;
+        if (s.guard_)
+            s.guard_->replayHeartbeat(t);
+        return access(true);
+      case 1: // lock free: take it, read the busy flag
+        s.lockWord_ = true;
+        if (s.protocol_)
+            s.protocol_->onLockBy(self().name());
+        return access(false);
+      case 2: // not busy: release the lock
+        ++idlePolls_;
+        s.lockWord_ = false;
+        if (s.protocol_)
+            s.protocol_->onUnlockBy(self().name());
+        return access(true);
+      default:
+        return pause();
+    }
 }
 
 } // namespace hc::hotcalls

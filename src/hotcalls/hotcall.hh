@@ -73,19 +73,55 @@ class HotCallService : public Channel
     /** Spawn the responder thread (must be called before call()). */
     void start() override;
 
-    const HotCallStats &stats() const { return stats_; }
+    /** Parked responders are caught up first (their polls count). */
+    const HotCallStats &stats() const
+    {
+        wakeParked();
+        return stats_;
+    }
     const HotCallConfig &config() const { return config_; }
 
   private:
     Claim claim(Request &req) override;
     bool publish(Request &req) override;
-    bool completed(Request &req) override;
+    Addr completionLine(const Request &) const override
+    {
+        return channelLine_;
+    }
+    bool isCompleted(const Request &) const override { return !go_; }
+    Cycles reclaimHorizon(const Request &req,
+                          Cycles wait_start) const override
+    {
+        // A request a responder committed to is never abandoned.
+        return requestServed_ ? sim::kNever
+                              : Channel::reclaimHorizon(req, wait_start);
+    }
     bool reclaim(Request &req, Cycles wait_start) override;
     void release(Request &req) override;
     void onAbort(Request &req) override;
     void respawn() override;
     void wakeResponders() override;
     void afterJoin() override;
+
+    /** The idle responder poll: take the lock (one RFO), find the
+     *  busy flag clear, release the lock, pause. */
+    class ResponderParker final : public PollParker
+    {
+      public:
+        ResponderParker(HotCallService &service,
+                        std::uint64_t &idle_polls)
+            : PollParker(service, service.channelLine_, 4),
+              service_(service), idlePolls_(idle_polls)
+        {
+        }
+
+      protected:
+        Cycles block(int phase, Cycles t) override;
+
+      private:
+        HotCallService &service_;
+        std::uint64_t &idlePolls_;
+    };
 
     /** Spawn a responder for the current epoch. */
     void spawnResponder(const std::string &name);

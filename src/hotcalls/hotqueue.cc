@@ -183,13 +183,20 @@ HotQueue::publish(Request &req)
     return true;
 }
 
-bool
-HotQueue::completed(Request &req)
+Cycles
+HotQueue::reclaimHorizon(const Request &req, Cycles wait_start) const
 {
-    // A responder marks the slot done once it has executed the call
-    // and filled the response.
-    touchSlot(req.slot, false);
-    return slots_[req.slot].state == SlotState::Done;
+    // A stale claim or a dispatched slot is never reclaimed; a grabbed
+    // one only past the serving leash; a Ready one past the unserved
+    // deadline, or past the leash of a grab still to come.
+    const Slot &slot = slots_[req.slot];
+    if (slot.epoch != req.epoch ||
+        (slot.state == SlotState::Serving && slot.dispatched))
+        return sim::kNever;
+    if (slot.state == SlotState::Serving)
+        return slot.servingSince + guard_->servingLeash() + 1;
+    return std::min(Channel::reclaimHorizon(req, wait_start),
+                    wait_start + guard_->servingLeash() + 1);
 }
 
 bool
@@ -297,9 +304,10 @@ HotQueue::retireZombie(std::size_t index)
 }
 
 int
-HotQueue::tryServeBatch()
+HotQueue::tryServeBatch(bool cursor_read)
 {
-    touch(tailLine_, false); // one producer-cursor read per poll
+    if (!cursor_read)
+        touch(tailLine_, false); // one producer-cursor read per poll
     if (pending() == 0)
         return 0;
 
@@ -429,8 +437,12 @@ HotQueue::parkResponder(bool scale_event)
     }
     if (scale_event)
         ++stats_.scaleDowns;
+    // The pool size decides whether a spin-parked responder's window
+    // check acts: catch it up before the size changes.
+    wakeParked();
     ++parked_;
     poolCond_.wait(poolMutex_);
+    wakeParked();
     --parked_;
     poolMutex_.unlock();
     return true;
@@ -477,6 +489,7 @@ HotQueue::respawn()
     }
     if (!guard_->respawnAllowed())
         return;
+    wakeParked(); // the pool grows
     responders_.push_back(machine_.engine().spawn(
         name() + "-resp-r" + std::to_string(i), core,
         [this] { responderLoop(-1); }));
@@ -505,33 +518,64 @@ HotQueue::responderLoop(int index)
     // are far shorter than served batches, so a poll-count fraction
     // would look idle even on a saturated ring.
     auto *injector = machine_.fault();
-    std::uint64_t window_polls = 0;
-    Cycles window_busy = 0;
-    Cycles window_start = machine_.now();
-    while (!stopRequested_) {
-        ++stats_.responderPolls;
-        if (guard_)
-            guard_->heartbeat(machine_.now());
-        if (injector && injector->fire(fault::Site::CursorStall)) {
-            // The consumer cursor goes quiet for a while: the ring
-            // fills, requesters hit the claim timeout and fall back.
-            engine.advance(injector->delay(fault::Site::CursorStall));
+    Window window;
+    window.start = machine_.now();
+    // An idle poll of a responder the pool cannot shrink repeats
+    // exactly until a requester touches the producer cursor, so it
+    // parks on that line (SpinPark). A wake may land mid-poll:
+    // `resume` is the block to continue at, 0 for a fresh poll.
+    ResponderParker parker(*this, window);
+    int resume = 0;
+    for (;;) {
+        if (resume == 0) {
+            if (stopRequested_)
+                break;
+            ++stats_.responderPolls;
+            if (guard_)
+                guard_->heartbeat(machine_.now());
+            if (injector && injector->fire(fault::Site::CursorStall)) {
+                // The consumer cursor goes quiet for a while: the
+                // ring fills, requesters hit the claim timeout and
+                // fall back.
+                engine.advance(
+                    injector->delay(fault::Site::CursorStall));
+            }
+            window.pollStart = machine_.now();
         }
-        const Cycles poll_start = machine_.now();
-        const int served = tryServeBatch();
-        ++window_polls;
-        if (served > 0)
-            window_busy += machine_.now() - poll_start;
-        else
+        const int served = tryServeBatch(resume != 0);
+        resume = 0;
+        ++window.polls;
+        if (served > 0) {
+            window.busy += machine_.now() - window.pollStart;
+        } else {
             pauseJittered();
-        if (window_polls >= config_.scaleWindowPolls) {
-            const Cycles elapsed = machine_.now() - window_start;
+            // The poll repeats while the ring is empty, or while the
+            // head slot is still being published: that slot's state
+            // changes only with a touch of its own line, which the
+            // parked responder watches too (and under Sentinel, the
+            // head scan's publish leash bounds the replay).
+            const Slot &head = slots_[head_ % slots_.size()];
+            const bool publishing =
+                pending() > 0 && head.state == SlotState::Publishing;
+            if ((pending() == 0 || publishing) && !stopRequested_ &&
+                activeResponders() <= config_.minResponders) {
+                const Cycles limit =
+                    publishing && guard_
+                        ? head.claimedAt + guard_->publishLeash() + 1
+                        : sim::kNever;
+                resume = parker.park(limit, publishing ? head.line : 0);
+                if (resume != 0)
+                    continue; // the window check ran in the replay
+            }
+        }
+        if (window.polls >= config_.scaleWindowPolls) {
+            const Cycles elapsed = machine_.now() - window.start;
             const double busy_frac =
-                elapsed > 0 ? static_cast<double>(window_busy) /
+                elapsed > 0 ? static_cast<double>(window.busy) /
                                   static_cast<double>(elapsed)
                             : 0.0;
-            window_polls = 0;
-            window_busy = 0;
+            window.polls = 0;
+            window.busy = 0;
             if (busy_frac < kScaleDownOccupancy &&
                 activeResponders() > config_.minResponders) {
                 // Occupancy stayed low for a whole window: this
@@ -539,12 +583,35 @@ HotQueue::responderLoop(int index)
                 parkResponder(true);
             }
             // Fresh window — never spanning time spent parked.
-            window_start = machine_.now();
+            window.start = machine_.now();
         }
     }
 
     if (tcs)
         exitEnclave(tcs);
+}
+
+Cycles
+HotQueue::ResponderParker::block(int phase, Cycles t)
+{
+    if (phase == 1) { // ring empty: count the poll, pause
+        ++window_.polls;
+        return pause();
+    }
+    // Window check of the previous poll: the pool cannot shrink (it
+    // only parks while at its minimum, and a size change wakes it),
+    // so the check only starts a fresh window. Then the poll top: no
+    // stop (stop wakes the poller), heartbeat, cursor read.
+    if (window_.polls >= queue_.config_.scaleWindowPolls) {
+        window_.polls = 0;
+        window_.busy = 0;
+        window_.start = t;
+    }
+    ++queue_.stats_.responderPolls;
+    if (queue_.guard_)
+        queue_.guard_->replayHeartbeat(t);
+    window_.pollStart = t;
+    return access(false);
 }
 
 } // namespace hc::hotcalls

@@ -93,7 +93,12 @@ class HotQueue : public Channel
      *  on demand. */
     void start() override;
 
-    const HotQueueStats &stats() const { return stats_; }
+    /** Parked responders are caught up first (their polls count). */
+    const HotQueueStats &stats() const
+    {
+        wakeParked();
+        return stats_;
+    }
     const HotQueueConfig &config() const { return config_; }
 
     /** @return responders currently polling (not parked). */
@@ -133,7 +138,16 @@ class HotQueue : public Channel
 
     Claim claim(Request &req) override;
     bool publish(Request &req) override;
-    bool completed(Request &req) override;
+    Addr completionLine(const Request &req) const override
+    {
+        return slots_[req.slot].line;
+    }
+    bool isCompleted(const Request &req) const override
+    {
+        return slots_[req.slot].state == SlotState::Done;
+    }
+    Cycles reclaimHorizon(const Request &req,
+                          Cycles wait_start) const override;
     bool reclaim(Request &req, Cycles wait_start) override;
     void release(Request &req) override;
     void onBusy(Request &req) override;
@@ -141,13 +155,41 @@ class HotQueue : public Channel
     void wakeResponders() override;
     void onStagingRecycle(std::size_t index) override;
 
+    /** A responder's sliding occupancy window (see responderLoop). */
+    struct Window {
+        std::uint64_t polls = 0;
+        Cycles busy = 0;
+        Cycles start = 0;
+        Cycles pollStart = 0; //!< start of the current poll
+    };
+
+    /** The idle responder poll: read the producer cursor, find the
+     *  ring empty, pause; the window check runs at each poll top. */
+    class ResponderParker final : public PollParker
+    {
+      public:
+        ResponderParker(HotQueue &queue, Window &window)
+            : PollParker(queue, queue.tailLine_, 2), queue_(queue),
+              window_(window)
+        {
+        }
+
+      protected:
+        Cycles block(int phase, Cycles t) override;
+
+      private:
+        HotQueue &queue_;
+        Window &window_;
+    };
+
     /** The responder thread body (pool member @p index; respawned
      *  members carry index -1: they never start parked). */
     void responderLoop(int index);
 
-    /** Serve every pending slot (up to numSlots). @return slots
-     *  served. */
-    int tryServeBatch();
+    /** Serve every pending slot (up to numSlots), after one priced
+     *  read of the producer cursor unless @p cursor_read (a replayed
+     *  poll already read it). @return slots served. */
+    int tryServeBatch(bool cursor_read = false);
 
     /** Take slot @p index away from its owner: a Zombie (epoch
      *  bumped, request cleared) awaiting retirement. */

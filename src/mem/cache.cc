@@ -30,24 +30,25 @@ CacheModel::CacheModel(std::uint64_t size, int ways,
         setMask_ = num_sets - 1;
 }
 
-CacheModel::Set &
-CacheModel::setFor(Addr addr)
+std::uint64_t
+CacheModel::setIndex(Addr addr) const
 {
     // Hash the line address so widely separated regions (untrusted vs
     // EPC bases) spread over all sets instead of aliasing.
     const std::uint64_t hash = mix64(lineAddr(addr));
-    const std::uint64_t idx =
-        setMask_ ? (hash & setMask_) : hash % sets_.size();
-    return sets_[idx];
+    return setMask_ ? (hash & setMask_) : hash % sets_.size();
+}
+
+CacheModel::Set &
+CacheModel::setFor(Addr addr)
+{
+    return sets_[setIndex(addr)];
 }
 
 const CacheModel::Set &
 CacheModel::setFor(Addr addr) const
 {
-    const std::uint64_t hash = mix64(lineAddr(addr));
-    const std::uint64_t idx =
-        setMask_ ? (hash & setMask_) : hash % sets_.size();
-    return sets_[idx];
+    return sets_[setIndex(addr)];
 }
 
 CacheOutcome
@@ -78,7 +79,6 @@ CacheModel::accessImpl(CoreId core, Addr addr, bool write,
 {
     Result result;
     const Addr line = lineAddr(addr);
-    ++useCounter_;
 
     // Same line as this core's previous access and still resident:
     // skip the set hash and the way scan.
@@ -87,12 +87,21 @@ CacheModel::accessImpl(CoreId core, Addr addr, bool write,
         memo_.resize(core_idx + 1);
     CoreMemo &memo = memo_[core_idx];
     if (memo.line == line && memo.way->valid && memo.way->tag == line) {
+        // A parked poller's replay never moves or evicts lines (and
+        // never touches memo_), so the memo stays valid across it.
+        if (memo.way->watched)
+            notifyWatched(line);
+        ++useCounter_;
         result.outcome = touchHit(*memo.way, core, write);
         touched = memo.way;
         return result;
     }
 
-    Set &set = setFor(addr);
+    const std::uint64_t set_idx = setIndex(addr);
+    Set &set = sets_[set_idx];
+    if (watchCount_ && setWatchers_[set_idx])
+        notifyWatched(line);
+    ++useCounter_;
     Line *const ways = set.ways.data();
     // Probe only the valid ways (ascending way order, like a full
     // scan with the valid check — same candidates, same first match).
@@ -165,6 +174,8 @@ CacheModel::flushLine(Addr addr)
         const unsigned idx = std::countr_zero(m);
         Line &way = set.ways[idx];
         if (way.tag == line) {
+            if (way.watched)
+                notifyWatched(line);
             const bool dirty = way.dirty;
             way.valid = false;
             way.dirty = false;
@@ -179,6 +190,8 @@ CacheModel::flushLine(Addr addr)
 void
 CacheModel::flushAll()
 {
+    if (watchCount_)
+        listener_->onWatchedRead();
     for (auto &set : sets_) {
         for (auto &way : set.ways) {
             way.valid = false;
@@ -203,6 +216,66 @@ CacheModel::flushRange(Addr addr, std::uint64_t len)
     Addr line = first;
     for (std::uint64_t i = 0; i < count; ++i, line += lineSize_)
         flushLine(line);
+}
+
+
+std::uint64_t
+CacheModel::watchSet(Addr addr)
+{
+    hc_assert(listener_);
+    const std::uint64_t idx = setIndex(addr);
+    if (setWatchers_.empty())
+        setWatchers_.resize(sets_.size());
+    if (setWatchers_[idx]++ == 0) {
+        for (auto &way : sets_[idx].ways)
+            way.watched = true;
+    }
+    ++watchCount_;
+    return idx;
+}
+
+void
+CacheModel::unwatchSet(Addr addr)
+{
+    const std::uint64_t idx = setIndex(addr);
+    hc_assert(watchCount_ > 0 && setWatchers_[idx] > 0);
+    if (--setWatchers_[idx] == 0) {
+        for (auto &way : sets_[idx].ways)
+            way.watched = false;
+    }
+    --watchCount_;
+}
+
+bool
+CacheModel::ownedBy(Addr addr, CoreId core) const
+{
+    const Addr line = lineAddr(addr);
+    for (const auto &way : setFor(addr).ways)
+        if (way.valid && way.tag == line)
+            return way.owner == core;
+    return false;
+}
+
+void
+CacheModel::replayOwnedHits(CoreId core, Addr addr, std::uint64_t count,
+                            bool write)
+{
+    const Addr line = lineAddr(addr);
+    Set &set = setFor(addr);
+    for (std::uint64_t m = set.validMask; m != 0; m &= m - 1) {
+        Line &way = set.ways[std::countr_zero(m)];
+        if (way.tag != line)
+            continue;
+        hc_assert(way.owner == core);
+        // Nothing else touches the cache in between, so the stamps
+        // of count single hits collapse to the last one.
+        useCounter_ += count;
+        way.dirty = way.dirty || write;
+        way.lastUse = useCounter_;
+        hits_ += count;
+        return;
+    }
+    panic("replayed poll of a non-resident line");
 }
 
 } // namespace hc::mem

@@ -33,6 +33,23 @@ enum class CacheOutcome {
 class CacheModel
 {
   public:
+    /**
+     * Told about every event that must be ordered against a parked
+     * spin-poller (sim::Engine::park): a touch of a watched set, a
+     * flush of one of its lines, a read of the hit/miss counters.
+     * Called before the event changes anything, so the poller's
+     * skipped polls replay first.
+     */
+    class WatchListener
+    {
+      public:
+        virtual ~WatchListener() = default;
+        /** Set @p key (watchSet()'s return) is about to be touched. */
+        virtual void onWatchedSet(std::uint64_t key) = 0;
+        /** State the watchers' polls update is about to be read. */
+        virtual void onWatchedRead() = 0;
+    };
+
     /** Result of one access, including any eviction it caused. */
     struct Result {
         CacheOutcome outcome = CacheOutcome::Miss;
@@ -97,6 +114,8 @@ class CacheModel
                 for (std::uint64_t i = 0; i < count;
                      ++i, line += lineSize_) {
                     Line &way = *ways[i];
+                    if (way.watched)
+                        notifyWatched(line);
                     ++useCounter_;
                     way.dirty = way.dirty || write;
                     way.lastUse = useCounter_;
@@ -163,6 +182,8 @@ class CacheModel
             for (std::uint64_t i = 0; i < count;
                  ++i, line += lineSize_) {
                 Line &way = *memo.ways[i];
+                if (way.watched)
+                    notifyWatched(line);
                 const bool dirty = way.dirty;
                 way.valid = false;
                 way.dirty = false;
@@ -195,8 +216,53 @@ class CacheModel
     /** Invalidate every line overlapping [addr, addr+len). */
     void flushRange(Addr addr, std::uint64_t len);
 
-    std::uint64_t hits() const { return hits_; }
-    std::uint64_t misses() const { return misses_; }
+    std::uint64_t hits() const
+    {
+        if (watchCount_)
+            listener_->onWatchedRead();
+        return hits_;
+    }
+    std::uint64_t misses() const
+    {
+        if (watchCount_)
+            listener_->onWatchedRead();
+        return misses_;
+    }
+
+    // ------------------------------------------------------------------
+    // SpinPark support: watched sets and replayed poll hits.
+    // ------------------------------------------------------------------
+
+    /** Install the watch listener (required before watchSet()). */
+    void setWatchListener(WatchListener *listener)
+    {
+        listener_ = listener;
+    }
+
+    /**
+     * Watch the set holding @p addr: every later touch of the set, or
+     * flush of one of its lines, is reported to the listener first.
+     * Any access to the set matters, not only to the watched line: a
+     * polling core keeps its line most recently used, so a fill there
+     * must see the polls' LRU stamps. @return the set's key.
+     */
+    std::uint64_t watchSet(Addr addr);
+
+    /** Drop one watch of the set holding @p addr. */
+    void unwatchSet(Addr addr);
+
+    /** @return true when the line holding @p addr is resident and
+     *  last touched by @p core (its next access an OwnedHit). */
+    bool ownedBy(Addr addr, CoreId core) const;
+
+    /**
+     * Apply @p count skipped polls: exactly the state change of as
+     * many back-to-back OwnedHit access() calls by @p core of the
+     * resident line holding @p addr (LRU stamp, dirty bit when
+     * @p write, hit counter), without reporting to the listener.
+     */
+    void replayOwnedHits(CoreId core, Addr addr, std::uint64_t count,
+                         bool write);
     std::uint64_t numSets() const { return sets_.size(); }
 
   private:
@@ -204,6 +270,8 @@ class CacheModel
         Addr tag = 0; //!< line-aligned address
         bool valid = false;
         bool dirty = false;
+        bool watched = false; //!< the way's set is watched (fits in
+                              //!< the padding: Line stays 24 bytes)
         CoreId owner = 0;
         std::uint64_t lastUse = 0;
     };
@@ -277,6 +345,13 @@ class CacheModel
 
     Set &setFor(Addr addr);
     const Set &setFor(Addr addr) const;
+    /** @return the set index of @p addr (the watch key). */
+    std::uint64_t setIndex(Addr addr) const;
+    /** Report a touch of the watched set of @p addr. */
+    void notifyWatched(Addr addr)
+    {
+        listener_->onWatchedSet(setIndex(addr));
+    }
     Addr lineAddr(Addr addr) const { return addr & ~(lineSize_ - 1); }
     /** Classify a hit on @p way and update its metadata. */
     CacheOutcome touchHit(Line &way, CoreId core, bool write);
@@ -304,6 +379,11 @@ class CacheModel
      */
     std::uint64_t modGen_ = 0;
     std::unordered_map<Addr, SpanMemo> spanMemos_;
+    WatchListener *listener_ = nullptr;
+    std::uint64_t watchCount_ = 0; //!< live watchSet() calls
+    /** watchSet() count per set, allocated on first use (kept out of
+     *  Set so a Set stays 32 bytes on the host). */
+    std::vector<std::uint32_t> setWatchers_;
     std::vector<Line *> scratchWays_; //!< accessSpan slow-path scratch
 };
 

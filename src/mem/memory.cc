@@ -18,7 +18,17 @@ MemoryModel::MemoryModel(sim::Engine &engine, AddressSpace &space,
       cache_(params.llcSize, params.llcWays),
       mee_(params_, AddressSpace::kEpcBase, params.epcVirtualSize, seed)
 {
+    cache_.setWatchListener(this);
 }
+
+Cycles
+MemoryModel::pollHitCost(Addr line) const
+{
+    // An untrusted line: no page-touch hook, no MEE.
+    hc_assert(!space_.isEpc(line));
+    return roundCost(static_cast<double>(params_.ownedHit));
+}
+
 
 Cycles
 MemoryModel::roundCost(double cost)

@@ -40,7 +40,7 @@ using PageTouchHook = std::function<Cycles(Addr page, bool write)>;
 using IntegrityFailureHook = std::function<void(Addr line)>;
 
 /** The priced memory system facade. */
-class MemoryModel
+class MemoryModel : private CacheModel::WatchListener
 {
   public:
     /**
@@ -106,6 +106,11 @@ class MemoryModel
     /** Evict the entire LLC (cold-cache experiments). */
     void evictAll();
 
+    /** @return the cost accessWord() charges for an OwnedHit of the
+     *  untrusted @p line: what each replayed poll access of a parked
+     *  spin-poller (sim::Engine::park) costs. */
+    Cycles pollHitCost(Addr line) const;
+
     // ------------------------------------------------------------------
     // Hooks.
     // ------------------------------------------------------------------
@@ -134,6 +139,12 @@ class MemoryModel
     CoreId currentCore() const;
 
   private:
+    void onWatchedSet(std::uint64_t key) override
+    {
+        engine_.unparkWatching(key);
+    }
+    void onWatchedRead() override { engine_.unparkAll(); }
+
     /** Charge @p cycles on the calling fiber, if any. */
     void charge(Cycles cycles);
 

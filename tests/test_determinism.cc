@@ -254,3 +254,63 @@ TEST(Determinism, FastPathGoldenDigest)
            "model change may update the golden.\n"
         << text;
 }
+
+// ----------------------------------------------------------------------
+// SpinPark invariance: a parked poller replays its skipped polls, so
+// parking is a host-side fast path, not a model change. With it on
+// (the default) vs off (polling, the differential oracle) every
+// scenario must digest byte-identically: quiet and full fidelity
+// (interrupts and hiccups armed), guard on and off, SimCheck on.
+// ----------------------------------------------------------------------
+
+namespace {
+
+/** @return @p run's text with parking off, then on. */
+template <typename Run>
+std::pair<std::string, std::string>
+parkOffOn(Run run)
+{
+    spinPark = false;
+    std::string off = run();
+    spinPark = true;
+    std::string on = run();
+    return {off, on};
+}
+
+} // anonymous namespace
+
+TEST(Determinism, SpinParkOnOffBitIdentical)
+{
+    for (int guard_mode : {0, 1}) {
+        const auto golden =
+            parkOffOn([&] { return goldenText(nullptr, guard_mode); });
+        EXPECT_EQ(golden.first, golden.second) << "guard=" << guard_mode;
+        EXPECT_EQ(fastHash64(golden.second), kGoldenHash);
+
+        const auto fp = parkOffOn(
+            [&] { return fastPathGoldenText(nullptr, guard_mode); });
+        EXPECT_EQ(fp.first, fp.second) << "guard=" << guard_mode;
+        EXPECT_EQ(fastHash64(fp.second), kFastPathGoldenHash);
+
+        const auto fig3 = parkOffOn([&] {
+            return fig3Scenario(true, true, false, 200, nullptr, true,
+                                guard_mode)
+                .text();
+        });
+        EXPECT_EQ(fig3.first, fig3.second) << "guard=" << guard_mode;
+
+        const auto hotq = parkOffOn([&] {
+            return hotqueueScenario(true, true, false, 80, nullptr,
+                                    true, guard_mode)
+                .text();
+        });
+        EXPECT_EQ(hotq.first, hotq.second) << "guard=" << guard_mode;
+    }
+
+    const auto checked = parkOffOn([] {
+        return fig3Scenario(false, false, true, 200).text() +
+               hotqueueScenario(false, false, true, 100).text() +
+               fastPathScenario(true, 1, 60).text();
+    });
+    EXPECT_EQ(checked.first, checked.second);
+}

@@ -545,3 +545,58 @@ TEST(HotOcall, NrzChangesCostNotData)
     // The 2 KiB byte-wise memset (~2.5k cycles) is gone.
     EXPECT_GT(plain.first, nrz.first + 2'000);
 }
+
+namespace {
+
+/** Scheduling decisions one HotOcall spends waiting on a 1M-cycle
+ *  handler that advances in small steps, plus what it leaves behind
+ *  (the call's latency and the requester core's clock). */
+struct LongCall {
+    std::uint64_t decisions = 0;
+    Cycles latency = 0;
+    Cycles clock = 0;
+};
+
+LongCall
+longHandlerCall(bool park)
+{
+    Fixture f;
+    f.machine.engine().setSpinPark(park);
+    f.runtime.registerOcall("ocall_empty", [&](edl::StagedCall &) {
+        for (int i = 0; i < 5'000; ++i)
+            f.machine.engine().advance(200);
+    });
+    HotCallService hot(f.runtime, Kind::HotOcall, 1);
+    LongCall out;
+    f.run([&] {
+        hot.start();
+        f.inEnclave([&] {
+            auto &engine = f.machine.engine();
+            const std::uint64_t d0 = engine.decisions();
+            const Cycles t0 = f.machine.now();
+            hot.call("ocall_empty", {});
+            out.latency = f.machine.now() - t0;
+            out.decisions = engine.decisions() - d0;
+        });
+        hot.stop();
+        f.machine.engine().stop();
+    });
+    out.clock = f.machine.engine().coreNow(0);
+    return out;
+}
+
+} // anonymous namespace
+
+TEST(HotCalls, ParkedRequesterWaitCostsConstantDecisions)
+{
+    // Polling, the requester's completion checks interleave with every
+    // step of the handler; parked, it sleeps through them and replays
+    // its polls once, when the completion lands.
+    const LongCall parked = longHandlerCall(true);
+    const LongCall polling = longHandlerCall(false);
+    EXPECT_LT(parked.decisions, 20u);
+    EXPECT_GT(polling.decisions, 5'000u);
+    EXPECT_EQ(parked.latency, polling.latency);
+    EXPECT_EQ(parked.clock, polling.clock);
+    EXPECT_GT(parked.latency, 1'000'000u);
+}

@@ -496,3 +496,59 @@ TEST(HotQueue, DeterministicAcrossRuns)
     };
     EXPECT_EQ(run_once(), run_once());
 }
+
+namespace {
+
+/** An idle HotQueue responder over 10M cycles while an unrelated
+ *  thread on another core advances in 40-cycle steps. */
+struct IdleWindow {
+    std::uint64_t decisions = 0;
+    std::uint64_t polls = 0;
+    Cycles responderClock = 0;
+};
+
+IdleWindow
+idleResponderWindow(bool park)
+{
+    constexpr Cycles kWindow = 10'000'000;
+    Fixture f;
+    auto &engine = f.machine.engine();
+    engine.setSpinPark(park);
+    HotQueueConfig config;
+    config.responderCores = {1};
+    HotQueue hot(f.runtime, Kind::HotEcall, config);
+    IdleWindow out;
+    f.run([&] {
+        hot.start();
+        hot.call("ecall_empty", {});
+        const std::uint64_t polls0 = hot.stats().responderPolls;
+        const std::uint64_t d0 = engine.decisions();
+        engine.spawn("ticker", 3, [&] {
+            for (Cycles t = 0; t < kWindow; t += 40)
+                engine.advance(40);
+        });
+        engine.sleepFor(kWindow);
+        out.decisions = engine.decisions() - d0;
+        out.polls = hot.stats().responderPolls - polls0;
+        out.responderClock = engine.coreNow(1);
+        hot.stop();
+        engine.stop();
+    });
+    return out;
+}
+
+} // anonymous namespace
+
+TEST(HotQueue, IdleResponderParkCostsWakesNotPolls)
+{
+    // Polling, every idle poll interleaves with the ticker's steps:
+    // about one scheduling decision per poll. Parked, the responder
+    // costs a decision only when something wakes it.
+    const IdleWindow parked = idleResponderWindow(true);
+    const IdleWindow polling = idleResponderWindow(false);
+    EXPECT_GT(polling.polls, 100'000u);
+    EXPECT_GT(polling.decisions, 100'000u);
+    EXPECT_LT(parked.decisions, 100u);
+    EXPECT_EQ(parked.polls, polling.polls);
+    EXPECT_EQ(parked.responderClock, polling.responderClock);
+}

@@ -813,3 +813,54 @@ TEST(SchedulerOracle, DispatchLogMatchesPinnedDigest)
     EXPECT_EQ(runSchedulerOracle(7, 20'000).digest,
               runSchedulerOracle(7, 20'000).digest);
 }
+
+namespace {
+
+/** The jitter draws (bound 23, as a hot-channel poll makes) of thread
+ *  "a", optionally next to busy unrelated threads. */
+std::vector<std::uint64_t>
+channelJitterOfA(bool crowd)
+{
+    Engine engine(Engine::Config{4, 77, 0});
+    std::vector<std::uint64_t> draws;
+    engine.spawn("a", 0, [&] {
+        Rng &rng = engine.currentThread()->rng();
+        for (int i = 0; i < 64; ++i) {
+            draws.push_back(rng.nextBelow(23));
+            engine.advance(35 + draws.back());
+        }
+    });
+    if (crowd) {
+        for (CoreId core = 1; core < 4; ++core) {
+            engine.spawn("b" + std::to_string(core), core, [&, core] {
+                for (int i = 0; i < 100; ++i) {
+                    engine.currentThread()->rng().nextBelow(23);
+                    engine.rng().next();
+                    engine.advance(static_cast<Cycles>(core) * 7);
+                }
+            });
+        }
+    }
+    engine.run();
+    return draws;
+}
+
+} // anonymous namespace
+
+TEST(Engine, ThreadStreamIndependentOfInterleaving)
+{
+    const auto alone = channelJitterOfA(false);
+    const auto crowded = channelJitterOfA(true);
+    ASSERT_EQ(alone.size(), 64u);
+    EXPECT_EQ(alone, crowded);
+
+    // Distinct spawn ids get distinct streams.
+    Engine engine(Engine::Config{2, 77, 0});
+    std::uint64_t first = 0, second = 0;
+    engine.spawn("x", 0,
+                 [&] { first = engine.currentThread()->rng().next(); });
+    engine.spawn("y", 1,
+                 [&] { second = engine.currentThread()->rng().next(); });
+    engine.run();
+    EXPECT_NE(first, second);
+}
