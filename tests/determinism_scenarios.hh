@@ -22,6 +22,8 @@
 #define HC_TESTS_DETERMINISM_SCENARIOS_HH
 
 #include <cstdio>
+#include <functional>
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -31,6 +33,7 @@
 #include "hotcalls/hotqueue.hh"
 #include "mem/buffer.hh"
 #include "mem/machine.hh"
+#include "os/kernel.hh"
 #include "sdk/runtime.hh"
 #include "sgx/platform.hh"
 #include "support/hash.hh"
@@ -43,6 +46,10 @@ inline constexpr std::uint64_t kGoldenHash = 16583189628892967703ull;
 /** The pinned FastPath golden hash. */
 inline constexpr std::uint64_t kFastPathGoldenHash =
     17395909595440672740ull;
+
+/** The pinned simulated-kernel golden hash. */
+inline constexpr std::uint64_t kKernelGoldenHash =
+    3164406221246358194ull;
 
 inline const char *kEdl = R"(
     enclave {
@@ -479,6 +486,297 @@ fastPathGoldenText(const fault::FaultPlan *plan = nullptr,
                .text() +
            fastPathScenario(false, 1, 120, plan, true, guard_mode)
                .text();
+}
+
+// ----------------------------------------------------------------------
+// Simulated-kernel scenario: engine, Machine and Kernel only (no
+// enclave), so the digest pins the kernel's socket, readiness and
+// wake paths on their own.
+// ----------------------------------------------------------------------
+
+/**
+ * Event-loop servers and clients over loopback TCP, libm-free.
+ *
+ * Three client fibers open 13 connections each to one listener and
+ * run kRounds request/response exchanges per connection, reading
+ * responses in partial recvs through their own epoll set with
+ * max_events below the ready count (so the scan rotation decides
+ * which fds are served). Server S0 owns the listener and hands the
+ * accepted fds round-robin to its own set, to S1's set and to an
+ * epoll set nested in S1's. S1's set also holds a File member (read
+ * to EOF, then closed while registered) and a UDP socket whose
+ * datagrams land in the future over the link model. Clients
+ * half-close finished connections with shutdown and close some
+ * mid-run; servers close on EOF.
+ *
+ * The digest holds every epollWait result (count, fds and the clock
+ * after it) per fiber, the bytes moved per fd, the per-core end
+ * clocks and the engine's scheduling decisions. @p kernel_out, when
+ * given, receives the kernel after the run (it is destroyed on
+ * return), so callers can inspect its final state.
+ */
+inline Digest
+kernelScenario(const std::function<void(os::Kernel &)> &kernel_out =
+                   nullptr)
+{
+    mem::MachineConfig machine_config;
+    machine_config.engine.numCores = 8;
+    machine_config.engine.seed = 42;
+    machine_config.engine.interruptMeanCycles = 0;
+    mem::Machine machine(machine_config);
+    machine.engine().setSpinPark(spinPark);
+    os::Kernel k(machine);
+    auto &engine = machine.engine();
+
+    constexpr int kPort = 8080;
+    constexpr int kClients = 3;
+    constexpr int kConnsPerClient = 13;
+    constexpr int kConns = kClients * kConnsPerClient;
+    constexpr int kRounds = 4;
+    constexpr int kDatagrams = 12;
+    constexpr int kUdpPort = 5000;
+
+    std::vector<std::uint8_t> page(4096);
+    for (std::size_t i = 0; i < page.size(); ++i)
+        page[i] = static_cast<std::uint8_t>(i * 7);
+    k.addFile("/static", page);
+
+    std::map<int, std::uint64_t> rx, tx; // bytes per fd
+    int closed_by_servers = 0;
+    int datagrams = 0;
+    int listener = -1, ep0 = -1, ep1 = -1, inner = -1;
+
+    /** Every wait's result and the clock after it, per fiber. */
+    auto record = [&](std::vector<Cycles> &log, int n,
+                      const std::vector<int> &ready) {
+        log.push_back(static_cast<Cycles>(n));
+        for (int i = 0; i < n; ++i)
+            log.push_back(
+                static_cast<Cycles>(ready[static_cast<std::size_t>(i)]));
+        log.push_back(machine.now());
+    };
+
+    /** Server side of one connection: read the request 16 bytes at
+     *  a time, answer it once complete, close on EOF. */
+    struct ServerConn {
+        std::uint64_t got = 0;
+        std::uint8_t hdr[3] = {0, 0, 0};
+    };
+    std::map<int, ServerConn> server_conns;
+    int file_fd = -1;
+    auto serve = [&](int fd) {
+        std::uint8_t buf[16];
+        const std::int64_t r = k.recv(fd, buf, sizeof(buf));
+        if (r == 0) {
+            k.close(fd);
+            ++closed_by_servers;
+            return;
+        }
+        if (r < 0)
+            return;
+        rx[fd] += static_cast<std::uint64_t>(r);
+        ServerConn &c = server_conns[fd];
+        for (std::int64_t i = 0; i < r; ++i) {
+            if (c.got < 3)
+                c.hdr[c.got] = buf[i];
+            ++c.got;
+        }
+        if (c.got < 3 || c.got < c.hdr[0])
+            return;
+        c.got = 0;
+        const std::uint64_t resp =
+            c.hdr[1] | (static_cast<std::uint64_t>(c.hdr[2]) << 8);
+        std::int64_t sent = 0;
+        if (resp % 2 == 0) {
+            sent = k.sendfile(fd, file_fd, (resp * 3) % 1000, resp);
+        } else {
+            sent = k.send(fd, page.data(), resp);
+        }
+        tx[fd] += static_cast<std::uint64_t>(sent);
+    };
+
+    std::vector<Cycles> s0_log, s1_log, inner_log;
+    engine.spawn("s0", 1, [&] {
+        listener = k.listenTcp(kPort);
+        ep0 = k.epollCreate();
+        ep1 = k.epollCreate();
+        inner = k.epollCreate();
+        file_fd = k.open("/static");
+        k.epollCtlAdd(ep0, listener);
+        int accepted = 0;
+        std::vector<int> ready;
+        for (int iter = 0; iter < 200000 && closed_by_servers < kConns;
+             ++iter) {
+            const int n = k.epollWait(ep0, ready, 4, 300'000);
+            record(s0_log, n, ready);
+            for (int i = 0; i < n; ++i) {
+                const int fd = ready[static_cast<std::size_t>(i)];
+                if (fd != listener) {
+                    serve(fd);
+                    continue;
+                }
+                for (int s = k.accept(listener); s >= 0;
+                     s = k.accept(listener)) {
+                    const int sets[] = {ep0, ep1, inner};
+                    k.epollCtlAdd(sets[accepted++ % 3], s);
+                }
+            }
+        }
+    });
+
+    engine.spawn("s1", 2, [&] {
+        engine.sleepUntil(20'000); // after s0 created the sets
+        const int udp = k.udpSocket(1, kUdpPort);
+        int static_fd = k.open("/static");
+        k.epollCtlAdd(ep1, inner);
+        k.epollCtlAdd(ep1, udp);
+        k.epollCtlAdd(ep1, static_fd);
+        std::vector<int> ready, inner_ready;
+        std::uint8_t buf[2048];
+        for (int iter = 0; iter < 200000 &&
+                           (closed_by_servers < kConns ||
+                            datagrams < kDatagrams);
+             ++iter) {
+            const int n = k.epollWait(ep1, ready, 4, 250'000);
+            record(s1_log, n, ready);
+            for (int i = 0; i < n; ++i) {
+                const int fd = ready[static_cast<std::size_t>(i)];
+                if (fd == inner) {
+                    const int m = k.epollWait(inner, inner_ready, 2, 0);
+                    record(inner_log, m, inner_ready);
+                    for (int j = 0; j < m; ++j)
+                        serve(inner_ready[static_cast<std::size_t>(j)]);
+                } else if (fd == udp) {
+                    int src = 0;
+                    const std::int64_t r =
+                        k.recvfrom(udp, buf, sizeof(buf), &src);
+                    if (r > 0) {
+                        ++datagrams;
+                        rx[udp] += static_cast<std::uint64_t>(r) +
+                                   static_cast<std::uint64_t>(src);
+                    }
+                } else if (fd == static_fd) {
+                    const std::int64_t r = k.read(static_fd, buf, 512);
+                    if (r == 0) {
+                        k.close(static_fd); // closed while registered
+                        static_fd = -1;
+                    } else {
+                        rx[fd] += static_cast<std::uint64_t>(r);
+                    }
+                } else {
+                    serve(fd);
+                }
+            }
+        }
+    });
+
+    engine.spawn("udp", 6, [&] {
+        engine.sleepUntil(40'000);
+        const int u = k.udpSocket(0, 4000);
+        for (int i = 0; i < kDatagrams; ++i) {
+            const std::uint64_t len = 200 + static_cast<std::uint64_t>(i) * 50;
+            tx[u] += static_cast<std::uint64_t>(
+                k.sendto(u, page.data(), len, kUdpPort));
+            engine.sleepFor(150'000);
+        }
+    });
+
+    std::vector<std::vector<Cycles>> client_logs(kClients);
+    for (int c = 0; c < kClients; ++c) {
+        engine.spawn("client" + std::to_string(c), 3 + c, [&, c] {
+            engine.sleepUntil(30'000 + static_cast<Cycles>(c) * 5'000);
+            struct Conn {
+                int fd = -1;
+                int j = 0;
+                int round = 0;
+                std::uint64_t resp = 0;
+                std::uint64_t got = 0;
+            };
+            std::map<int, Conn> conns;
+            const int ep = k.epollCreate();
+            auto request = [&](Conn &conn) {
+                const std::uint64_t len =
+                    24 + static_cast<std::uint64_t>(conn.j * 11 +
+                                                    conn.round * 5) %
+                             40;
+                conn.resp = 200 + static_cast<std::uint64_t>(
+                                      conn.j * 97 + conn.round * 31) %
+                                      1800;
+                std::vector<std::uint8_t> req(len,
+                                              static_cast<std::uint8_t>(
+                                                  conn.j));
+                req[0] = static_cast<std::uint8_t>(len);
+                req[1] = static_cast<std::uint8_t>(conn.resp & 0xff);
+                req[2] = static_cast<std::uint8_t>(conn.resp >> 8);
+                conn.got = 0;
+                tx[conn.fd] += static_cast<std::uint64_t>(
+                    k.send(conn.fd, req.data(), req.size()));
+            };
+            for (int i = 0; i < kConnsPerClient; ++i) {
+                Conn conn;
+                conn.fd = k.connectTcp(kPort);
+                conn.j = c * kConnsPerClient + i;
+                k.epollCtlAdd(ep, conn.fd);
+                conns[conn.fd] = conn;
+                request(conns[conn.fd]);
+            }
+            std::vector<int> ready;
+            std::uint8_t buf[48];
+            auto &log = client_logs[static_cast<std::size_t>(c)];
+            for (int iter = 0; iter < 200000 && !conns.empty(); ++iter) {
+                const int n = k.epollWait(ep, ready, 3, 400'000);
+                record(log, n, ready);
+                for (int i = 0; i < n; ++i) {
+                    const int fd = ready[static_cast<std::size_t>(i)];
+                    Conn &conn = conns[fd];
+                    const std::int64_t r = k.recv(fd, buf, sizeof(buf));
+                    if (r == 0) { // server closed after our shutdown
+                        k.close(fd);
+                        conns.erase(fd);
+                        continue;
+                    }
+                    if (r < 0)
+                        continue;
+                    rx[fd] += static_cast<std::uint64_t>(r);
+                    conn.got += static_cast<std::uint64_t>(r);
+                    if (conn.got < conn.resp)
+                        continue;
+                    ++conn.round;
+                    if (conn.round == kRounds) {
+                        k.shutdown(fd);
+                    } else if (conn.round == 2 && conn.j % 5 == 0) {
+                        k.close(fd); // abrupt close mid-run
+                        conns.erase(fd);
+                    } else {
+                        request(conn);
+                    }
+                }
+            }
+            k.close(ep);
+        });
+    }
+    engine.run();
+
+    Digest d;
+    d.addSamples("kern.s0.waits", s0_log);
+    d.addSamples("kern.s1.waits", s1_log);
+    d.addSamples("kern.inner.waits", inner_log);
+    for (int c = 0; c < kClients; ++c)
+        d.addSamples("kern.client" + std::to_string(c) + ".waits",
+                     client_logs[static_cast<std::size_t>(c)]);
+    for (const auto &[fd, n] : rx)
+        d.add("kern.rx." + std::to_string(fd), n);
+    for (const auto &[fd, n] : tx)
+        d.add("kern.tx." + std::to_string(fd), n);
+    d.add("kern.closedByServers",
+          static_cast<std::uint64_t>(closed_by_servers));
+    d.add("kern.datagrams", static_cast<std::uint64_t>(datagrams));
+    for (int c = 0; c < engine.numCores(); ++c)
+        d.add("core" + std::to_string(c) + ".clock", engine.coreNow(c));
+    d.add("decisions", engine.decisions());
+    if (kernel_out)
+        kernel_out(k);
+    return d;
 }
 
 } // namespace hc::dtest
