@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <cstring>
 #include <limits>
+#include <unordered_set>
 
 #include "support/logging.hh"
 
@@ -16,6 +17,47 @@ namespace hc::os {
 namespace {
 
 constexpr Cycles kNever = std::numeric_limits<Cycles>::max();
+
+/**
+ * The unread bytes of one stream end: a contiguous buffer with a read
+ * offset, so a recv is one memcpy. An append first compacts when the
+ * consumed prefix is at least as long as the unread tail, which keeps
+ * the storage within twice the unread bytes plus the append.
+ */
+class StreamBuf
+{
+  public:
+    /** @return unread bytes. */
+    std::uint64_t size() const { return bytes_.size() - head_; }
+    bool empty() const { return head_ == bytes_.size(); }
+
+    void append(const std::uint8_t *src, std::uint64_t n)
+    {
+        if (head_ > 0 && head_ >= size()) {
+            bytes_.erase(bytes_.begin(),
+                         bytes_.begin() +
+                             static_cast<std::ptrdiff_t>(head_));
+            head_ = 0;
+        }
+        bytes_.insert(bytes_.end(), src, src + n);
+    }
+
+    /** Move the first @p n unread bytes to @p dst (null discards). */
+    void consume(std::uint8_t *dst, std::uint64_t n)
+    {
+        if (dst)
+            std::memcpy(dst, bytes_.data() + head_, n);
+        head_ += n;
+        if (head_ == bytes_.size()) {
+            bytes_.clear();
+            head_ = 0;
+        }
+    }
+
+  private:
+    std::vector<std::uint8_t> bytes_;
+    std::size_t head_ = 0;
+};
 
 } // anonymous namespace
 
@@ -36,8 +78,9 @@ struct Kernel::Desc {
     std::string path;
     std::uint64_t offset = 0;
 
-    // TCP stream: bytes readable on this end; peer link.
-    std::deque<std::uint8_t> streamBuf;
+    // TCP stream: bytes readable on this end; peer link. TUN ends
+    // use peerFd and peerClosed too.
+    StreamBuf stream;
     int peerFd = -1;
     bool peerClosed = false;
 
@@ -50,15 +93,53 @@ struct Kernel::Desc {
     std::uint64_t queuedBytes = 0;
     int side = 0;
 
+    // Readiness cache. Streams and listeners cache whether a read
+    // would not block (every transition calls refreshReady); the
+    // other types depend on the clock or on nesting and are
+    // evaluated on each scan.
+    bool ready = false;
+    std::vector<Desc *> sets; //!< epoll sets holding this descriptor
+
     // Epoll set.
-    std::vector<int> members;
-    std::size_t scanStart = 0; //!< rotating start for fairness
+    struct Member {
+        int fd;
+        Desc *desc;
+    };
+    std::vector<Member> members;
+    std::size_t scanStart = 0;      //!< rotating start for fairness
+    std::size_t readyMembers = 0;   //!< caching members now ready
+    std::size_t checkedMembers = 0; //!< members evaluated per scan
 
     // Shared.
     bool nonblockFlag = false;
-};
 
-struct Kernel::EpollSet {};
+    bool cachesReadiness() const
+    {
+        return type == Type::TcpStream || type == Type::TcpListen;
+    }
+
+    /** Readiness of a caching descriptor, from its state. */
+    bool computeReady() const
+    {
+        return type == Type::TcpListen ? !acceptQueue.empty()
+                                       : !stream.empty() || peerClosed;
+    }
+
+    /** Re-derive the cached readiness after a state transition and
+     *  carry a change into the ready count of every containing set. */
+    void refreshReady()
+    {
+        if (!cachesReadiness() || computeReady() == ready)
+            return;
+        ready = !ready;
+        for (Desc *set : sets) {
+            if (ready)
+                ++set->readyMembers;
+            else
+                --set->readyMembers;
+        }
+    }
+};
 
 Kernel::Kernel(mem::Machine &machine, OsCostParams params)
     : machine_(machine), params_(params)
@@ -84,22 +165,25 @@ Kernel::chargeCopy(std::uint64_t bytes)
 Kernel::Desc *
 Kernel::desc(int fd)
 {
-    auto it = fds_.find(fd);
-    return it == fds_.end() ? nullptr : it->second.get();
+    return fd >= 0 && static_cast<std::size_t>(fd) < fds_.size()
+               ? fds_[static_cast<std::size_t>(fd)].get()
+               : nullptr;
 }
 
 const Kernel::Desc *
 Kernel::desc(int fd) const
 {
-    auto it = fds_.find(fd);
-    return it == fds_.end() ? nullptr : it->second.get();
+    return fd >= 0 && static_cast<std::size_t>(fd) < fds_.size()
+               ? fds_[static_cast<std::size_t>(fd)].get()
+               : nullptr;
 }
 
 int
 Kernel::allocFd(std::unique_ptr<Desc> d)
 {
     const int fd = nextFd_++;
-    fds_[fd] = std::move(d);
+    fds_.resize(static_cast<std::size_t>(fd) + 1);
+    fds_[static_cast<std::size_t>(fd)] = std::move(d);
     return fd;
 }
 
@@ -231,9 +315,11 @@ Kernel::close(int fd)
     Desc *d = desc(fd);
     if (!d)
         return kEbadf;
-    if (d->type == Desc::Type::TcpStream) {
+    if (d->type == Desc::Type::TcpStream ||
+        d->type == Desc::Type::TunEnd) {
         if (Desc *peer = desc(d->peerFd)) {
             peer->peerClosed = true;
+            peer->refreshReady();
             notifyReadable(d->peerFd);
         }
     }
@@ -241,15 +327,13 @@ Kernel::close(int fd)
         tcpListeners_.erase(d->port);
     if (d->type == Desc::Type::Udp)
         udpPorts_[d->side].erase(d->port);
-    // Remove this fd from any epoll sets.
-    for (auto &entry : fds_) {
-        Desc *e = entry.second.get();
-        if (e->type == Desc::Type::Epoll) {
-            auto &m = e->members;
-            m.erase(std::remove(m.begin(), m.end(), fd), m.end());
-        }
+    while (!d->sets.empty())
+        unlink(*d->sets.back(), *d);
+    for (const Desc::Member &m : d->members) {
+        auto &sets = m.desc->sets;
+        sets.erase(std::find(sets.begin(), sets.end(), d));
     }
-    fds_.erase(fd);
+    fds_[static_cast<std::size_t>(fd)].reset();
     return 0;
 }
 
@@ -304,7 +388,9 @@ Kernel::connectTcp(int port)
     desc(client_fd)->peerFd = server_fd;
     desc(server_fd)->peerFd = client_fd;
 
-    desc(lit->second)->acceptQueue.push_back(server_fd);
+    Desc *listener = desc(lit->second);
+    listener->acceptQueue.push_back(server_fd);
+    listener->refreshReady();
     notifyReadable(lit->second);
     return client_fd;
 }
@@ -320,6 +406,7 @@ Kernel::accept(int listen_fd)
         return kEagain;
     const int fd = d->acceptQueue.front();
     d->acceptQueue.pop_front();
+    d->refreshReady();
     return fd;
 }
 
@@ -330,14 +417,14 @@ Kernel::streamSend(Desc &d, const std::uint8_t *buf,
     Desc *peer = desc(d.peerFd);
     if (!peer)
         return 0; // connection reset
+    const std::uint64_t unread = peer->stream.size();
     const std::uint64_t room =
-        params_.socketBuf > peer->streamBuf.size()
-            ? params_.socketBuf - peer->streamBuf.size()
-            : 0;
+        params_.socketBuf > unread ? params_.socketBuf - unread : 0;
     const std::uint64_t take = std::min(count, room);
     if (take == 0)
         return kEagain;
-    peer->streamBuf.insert(peer->streamBuf.end(), buf, buf + take);
+    peer->stream.append(buf, take);
+    peer->refreshReady();
     chargeCopy(take);
     notifyReadable(d.peerFd);
     return static_cast<std::int64_t>(take);
@@ -346,15 +433,11 @@ Kernel::streamSend(Desc &d, const std::uint8_t *buf,
 std::int64_t
 Kernel::streamRecv(Desc &d, std::uint8_t *buf, std::uint64_t count)
 {
-    if (d.streamBuf.empty())
+    if (d.stream.empty())
         return d.peerClosed ? 0 : kEagain;
-    const std::uint64_t take =
-        std::min<std::uint64_t>(count, d.streamBuf.size());
-    for (std::uint64_t i = 0; i < take; ++i) {
-        if (buf)
-            buf[i] = d.streamBuf.front();
-        d.streamBuf.pop_front();
-    }
+    const std::uint64_t take = std::min(count, d.stream.size());
+    d.stream.consume(buf, take);
+    d.refreshReady();
     chargeCopy(take);
     return static_cast<std::int64_t>(take);
 }
@@ -405,9 +488,8 @@ Kernel::sendfile(int out_fd, int in_fd, std::uint64_t offset,
     Desc *peer = desc(out->peerFd);
     if (!peer)
         return 0;
-    peer->streamBuf.insert(peer->streamBuf.end(),
-                           contents.data() + offset,
-                           contents.data() + offset + take);
+    peer->stream.append(contents.data() + offset, take);
+    peer->refreshReady();
     // In-kernel copy: roughly half the user-copy cost.
     charge(static_cast<Cycles>(static_cast<double>(take) *
                                params_.copyPerByte * 0.5));
@@ -431,6 +513,7 @@ Kernel::shutdown(int fd)
         return kEbadf;
     if (Desc *peer = desc(d->peerFd)) {
         peer->peerClosed = true;
+        peer->refreshReady();
         notifyReadable(d->peerFd);
     }
     return 0;
@@ -546,18 +629,23 @@ Kernel::readableNow(const Desc &d) const
       case Desc::Type::File:
         return true;
       case Desc::Type::TcpListen:
-        return !d.acceptQueue.empty();
       case Desc::Type::TcpStream:
-        return !d.streamBuf.empty() || d.peerClosed;
+        return d.ready;
       case Desc::Type::Udp:
-      case Desc::Type::TunEnd:
         return !d.packets.empty() &&
                d.packets.front().availableAt <= now;
+      case Desc::Type::TunEnd:
+        return (!d.packets.empty() &&
+                d.packets.front().availableAt <= now) ||
+               d.peerClosed;
       case Desc::Type::Epoll:
-        for (int fd : d.members) {
-            const Desc *m = desc(fd);
-            if (m && readableNow(*m))
-                return true;
+        if (d.readyMembers > 0)
+            return true;
+        if (d.checkedMembers > 0) {
+            for (const Desc::Member &m : d.members) {
+                if (!m.desc->cachesReadiness() && readableNow(*m.desc))
+                    return true;
+            }
         }
         return false;
     }
@@ -574,10 +662,11 @@ Kernel::earliestAvailability(const Desc &d) const
                                  : d.packets.front().availableAt;
       case Desc::Type::Epoll: {
         Cycles best = kNever;
-        for (int fd : d.members) {
-            const Desc *m = desc(fd);
-            if (m)
-                best = std::min(best, earliestAvailability(*m));
+        if (d.checkedMembers > 0) {
+            for (const Desc::Member &m : d.members) {
+                if (!m.desc->cachesReadiness())
+                    best = std::min(best, earliestAvailability(*m.desc));
+            }
         }
         return best;
       }
@@ -606,11 +695,19 @@ Kernel::epollCtlAdd(int epfd, int fd)
 {
     charge(params_.syscall + params_.epollCtl);
     Desc *e = desc(epfd);
-    if (!e || e->type != Desc::Type::Epoll || !desc(fd))
+    Desc *m = desc(fd);
+    if (!e || e->type != Desc::Type::Epoll || !m)
         return kEbadf;
-    if (std::find(e->members.begin(), e->members.end(), fd) ==
-        e->members.end())
-        e->members.push_back(fd);
+    if (fd == epfd)
+        return kEinval;
+    if (std::find(m->sets.begin(), m->sets.end(), e) != m->sets.end())
+        return 0;
+    e->members.push_back({fd, m});
+    m->sets.push_back(e);
+    if (!m->cachesReadiness())
+        ++e->checkedMembers;
+    else if (m->ready)
+        ++e->readyMembers;
     return 0;
 }
 
@@ -621,9 +718,26 @@ Kernel::epollCtlDel(int epfd, int fd)
     Desc *e = desc(epfd);
     if (!e || e->type != Desc::Type::Epoll)
         return kEbadf;
-    auto &m = e->members;
-    m.erase(std::remove(m.begin(), m.end(), fd), m.end());
+    Desc *m = desc(fd);
+    if (m && std::find(m->sets.begin(), m->sets.end(), e) !=
+                 m->sets.end())
+        unlink(*e, *m);
     return 0;
+}
+
+void
+Kernel::unlink(Desc &set, Desc &member)
+{
+    auto &members = set.members;
+    members.erase(std::find_if(
+        members.begin(), members.end(),
+        [&](const Desc::Member &m) { return m.desc == &member; }));
+    auto &sets = member.sets;
+    sets.erase(std::find(sets.begin(), sets.end(), &set));
+    if (!member.cachesReadiness())
+        --set.checkedMembers;
+    else if (member.ready)
+        --set.readyMembers;
 }
 
 int
@@ -631,30 +745,40 @@ Kernel::epollWait(int epfd, std::vector<int> &ready, int max_events,
                   Cycles timeout)
 {
     charge(params_.syscall + params_.epollWaitBase);
+    if (max_events <= 0)
+        return kEinval;
     Desc *e = desc(epfd);
     if (!e || e->type != Desc::Type::Epoll)
         return kEbadf;
     auto &engine = machine_.engine();
     const Cycles deadline =
         timeout == 0 ? 0 : machine_.now() + timeout;
+    const auto limit = static_cast<std::size_t>(max_events);
 
     for (;;) {
         // Rotate the scan start so a ready set larger than
         // max_events round-robins instead of starving the tail
-        // (real epoll's ready list is FIFO).
+        // (real epoll's ready list is FIFO). Every pass rotates,
+        // including one that finds nothing: the rotation is part of
+        // the model. The walk itself is skipped when no member can
+        // be ready, and stops once every ready caching member is
+        // found if there is nothing to evaluate.
         ready.clear();
         const std::size_t count = e->members.size();
-        if (count > 0) {
+        if (count > 0)
             e->scanStart = (e->scanStart + 1) % count;
+        if (count > 0 && e->readyMembers + e->checkedMembers > 0) {
+            const bool all_cached = e->checkedMembers == 0;
+            std::size_t i = e->scanStart;
             for (std::size_t k = 0; k < count; ++k) {
-                const int fd =
-                    e->members[(e->scanStart + k) % count];
-                const Desc *m = desc(fd);
-                if (m && readableNow(*m)) {
-                    ready.push_back(fd);
-                    if (static_cast<int>(ready.size()) >= max_events)
-                        break;
-                }
+                const Desc::Member &m = e->members[i];
+                i = i + 1 == count ? 0 : i + 1;
+                if (!readableNow(*m.desc))
+                    continue;
+                ready.push_back(m.fd);
+                if (ready.size() >= limit ||
+                    (all_cached && ready.size() == e->readyMembers))
+                    break;
             }
         }
         if (!ready.empty() || timeout == 0)
@@ -770,8 +894,68 @@ Kernel::pendingBytes(int fd) const
     if (!d)
         return 0;
     if (d->type == Desc::Type::TcpStream)
-        return d->streamBuf.size();
+        return d->stream.size();
     return d->queuedBytes;
+}
+
+std::string
+Kernel::auditReadiness() const
+{
+    std::string out;
+    auto report = [&](std::size_t fd, const std::string &what) {
+        out += "fd " + std::to_string(fd) + ": " + what + "\n";
+    };
+    std::unordered_set<const Desc *> live;
+    for (const auto &d : fds_) {
+        if (d)
+            live.insert(d.get());
+    }
+    for (std::size_t fd = 0; fd < fds_.size(); ++fd) {
+        const Desc *d = fds_[fd].get();
+        if (!d)
+            continue;
+        if (d->cachesReadiness() && d->ready != d->computeReady())
+            report(fd, "cached readiness is stale");
+        for (const Desc *set : d->sets) {
+            if (!live.count(set) || set->type != Desc::Type::Epoll) {
+                report(fd, "back-pointer to a closed or non-epoll fd");
+                continue;
+            }
+            const auto held = std::count_if(
+                set->members.begin(), set->members.end(),
+                [&](const Desc::Member &m) { return m.desc == d; });
+            if (held != 1)
+                report(fd, "held " + std::to_string(held) +
+                               " times by a set it points to");
+        }
+        if (d->type != Desc::Type::Epoll)
+            continue;
+        std::size_t ready = 0, checked = 0;
+        for (const Desc::Member &m : d->members) {
+            if (desc(m.fd) != m.desc) {
+                report(fd, "member " + std::to_string(m.fd) +
+                               " does not name its descriptor");
+                continue;
+            }
+            if (std::count(m.desc->sets.begin(), m.desc->sets.end(),
+                           d) != 1)
+                report(fd, "member " + std::to_string(m.fd) +
+                               " lacks one back-pointer to the set");
+            if (!m.desc->cachesReadiness())
+                ++checked;
+            else if (m.desc->computeReady())
+                ++ready;
+        }
+        if (ready != d->readyMembers)
+            report(fd, "readyMembers " +
+                           std::to_string(d->readyMembers) +
+                           ", rescan finds " + std::to_string(ready));
+        if (checked != d->checkedMembers)
+            report(fd, "checkedMembers " +
+                           std::to_string(d->checkedMembers) +
+                           ", rescan finds " + std::to_string(checked));
+    }
+    return out;
 }
 
 } // namespace hc::os

@@ -56,6 +56,7 @@ struct OsCostParams {
 enum OsError : int {
     kEagain = -11,
     kEbadf = -9,
+    kEinval = -22,
     kEnoent = -2,
     kEconnRefused = -111,
     kEmsgsize = -90,
@@ -186,7 +187,7 @@ class Kernel
     /**
      * Wait for readable fds.
      * @param ready     out: readable fds
-     * @param max_events max entries to report
+     * @param max_events max entries to report (kEinval unless > 0)
      * @param timeout   cycles to wait (0 = poll, no blocking)
      * @return number of ready fds
      */
@@ -227,9 +228,16 @@ class Kernel
     /** @return bytes queued for reading on @p fd. */
     std::uint64_t pendingBytes(int fd) const;
 
+    /**
+     * Recompute the readiness cache from scratch: every stream's and
+     * listener's cached readiness, every epoll set's ready and checked
+     * member counts, and the member <-> set back-pointers.
+     * @return one line per mismatch (empty when consistent)
+     */
+    std::string auditReadiness() const;
+
   private:
     struct Desc;
-    struct EpollSet;
 
     Desc *desc(int fd);
     const Desc *desc(int fd) const;
@@ -249,12 +257,16 @@ class Kernel
     /** Earliest future time a queued packet becomes deliverable. */
     Cycles earliestAvailability(const Desc &d) const;
 
+    /** Drop @p member from epoll set @p set (it must be a member). */
+    static void unlink(Desc &set, Desc &member);
+
     /** Wake epoll waiters and blocked readers of @p fd. */
     void notifyReadable(int fd);
 
     mem::Machine &machine_;
     OsCostParams params_;
-    std::unordered_map<int, std::unique_ptr<Desc>> fds_;
+    /** Indexed by fd; fds are never reused (nextFd_ only grows). */
+    std::vector<std::unique_ptr<Desc>> fds_;
     std::unordered_map<std::string, std::vector<std::uint8_t>> files_;
     std::unordered_map<int, int> tcpListeners_; //!< port -> fd
     std::unordered_map<int, int> udpPorts_[2];  //!< side -> port -> fd

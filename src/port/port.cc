@@ -664,6 +664,10 @@ PortedApp::epollWait(int epfd, std::vector<int> &ready, int max_events,
         countNative("epoll_wait");
         return kernel_.epollWait(epfd, ready, max_events, timeout);
     }
+    // Rejected before marshalling: the [out, count=max_events] buffer
+    // would be empty.
+    if (max_events <= 0)
+        return os::kEinval;
     max_events = std::min<int>(max_events, 128);
     const auto n = toSigned(osCall(
         "ocall_epoll_wait",

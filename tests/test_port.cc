@@ -146,6 +146,35 @@ TEST(Port, SurfaceWorksWithNoRedundantZeroing)
     f.run([&] { exerciseSurface(f); });
 }
 
+TEST(Port, EpollWaitRejectsNonPositiveMaxEvents)
+{
+    for (Mode mode : {Mode::Native, Mode::Sgx}) {
+        Fixture f(mode);
+        f.run([&] {
+            const int listener = static_cast<int>(f.app.listen(7778));
+            const int client = f.kernel.connectTcp(7778);
+            const int server = static_cast<int>(f.app.accept(listener));
+            const int epfd = static_cast<int>(f.app.epollCreate());
+            f.app.epollCtlAdd(epfd, server);
+            const char *msg = "x";
+            f.kernel.send(client,
+                          reinterpret_cast<const std::uint8_t *>(msg), 1);
+            std::vector<int> ready;
+            EXPECT_EQ(f.app.epollWait(epfd, ready, 0, 0), os::kEinval)
+                << modeName(mode);
+            EXPECT_EQ(f.app.epollWait(epfd, ready, -1, 0), os::kEinval)
+                << modeName(mode);
+            EXPECT_EQ(f.app.epollWait(epfd, ready, 1, 0), 1)
+                << modeName(mode);
+            EXPECT_EQ(ready.at(0), server) << modeName(mode);
+        });
+        // In SGX mode the rejected calls never leave the enclave.
+        const std::uint64_t expected = mode == Mode::Native ? 3u : 1u;
+        EXPECT_EQ(f.app.callCounts().at("epoll_wait"), expected)
+            << modeName(mode);
+    }
+}
+
 TEST(Port, RunEnclaveFunctionDispatchesArg)
 {
     for (Mode mode :
