@@ -25,6 +25,25 @@ LAYER_RE = re.compile(r"hc::([a-z_]+)::")
 NM_RE = re.compile(r"^([0-9a-f]+) (?:([0-9a-f]+) )?([A-Za-z]) (.*)$")
 
 
+def strip_return_type(name):
+    """Drop the return type a demangled template function prints first:
+    "void std::sort<...>(...)" -> "std::sort<...>(...)"."""
+    depth = 0
+    cut = 0
+    for i, ch in enumerate(name):
+        if name.startswith("operator", i) and (i == 0 or name[i - 1] in " :"):
+            break  # "<" and "(" inside an operator's name are not nesting
+        if ch == "(" and depth == 0:
+            break
+        if ch in "<(":
+            depth += 1
+        elif ch in ">)":
+            depth -= 1
+        elif ch == " " and depth == 0:
+            cut = i + 1
+    return name[cut:]
+
+
 def layer_of(name, path):
     if name.startswith("hcFiber") or "hc::sim::Fiber" in name:
         return "sim fiber"
@@ -40,12 +59,16 @@ def layer_of(name, path):
         if "referenceSeconds" in name:
             return "bench reference"
         return "bench"
-    if name.startswith("?"):
-        return "unknown" if path.startswith("[") else "other"
+    # The mapped file decides before the name: a PC inside libc that
+    # no symbol covers is still libc time.
     if "/libc" in path or "/ld-linux" in path or "/libm" in path:
         return "libc"
-    if "libstdc++" in path or name.startswith("std::") or \
-            name.startswith("operator "):
+    if "libstdc++" in path:
+        return "libstdc++"
+    if name.startswith("?"):
+        return "unknown" if path.startswith("[") else "other"
+    base = strip_return_type(name)
+    if base.startswith("std::") or base.startswith("operator "):
         return "libstdc++"
     return "other"
 
