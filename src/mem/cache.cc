@@ -19,6 +19,7 @@ CacheModel::CacheModel(std::uint64_t size, int ways,
     hc_assert(line_size > 0 && (line_size & (line_size - 1)) == 0);
     const std::uint64_t lines = size / line_size;
     hc_assert(lines % ways_ == 0);
+    hc_assert(lines <= std::uint64_t{1} << 32); // span memo slots
     const std::uint64_t num_sets = lines / ways_;
     lines_.resize(lines);
     validMask_.resize(num_sets);
@@ -161,6 +162,27 @@ CacheModel::flushAll()
     validMask_.assign(validMask_.size(), 0);
     ++modGen_;
     spanMemos_.clear();
+    memoLines_ = 0;
+}
+
+void
+CacheModel::recordSpan(Addr first_line, CoreId core)
+{
+    const std::uint64_t count = scratchSlots_.size();
+    const auto it = spanMemos_.find(first_line);
+    if (it != spanMemos_.end())
+        memoLines_ -= it->second.count;
+    if (memoLines_ + count > lines_.size() ||
+        spanMemos_.size() >= kSpanMemoMaxEntries) {
+        spanMemos_.clear();
+        memoLines_ = 0;
+    }
+    SpanMemo &memo = spanMemos_[first_line];
+    memo.count = count;
+    memo.core = core;
+    memo.gen = modGen_;
+    memo.slots.assign(scratchSlots_.begin(), scratchSlots_.end());
+    memoLines_ += count;
 }
 
 void

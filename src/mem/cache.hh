@@ -110,11 +110,11 @@ class CacheModel
                 // ++useCounter_, dirty |= write, lastUse, ++hits_.
                 Result hit;
                 hit.outcome = CacheOutcome::OwnedHit;
-                Line *const *ways = memo.ways.data();
+                const std::uint32_t *slots = memo.slots.data();
                 Addr line = first_line;
                 for (std::uint64_t i = 0; i < count;
                      ++i, line += lineSize_) {
-                    Line &way = *ways[i];
+                    Line &way = lines_[slots[i]];
                     if (way.watched)
                         notifyWatched(line);
                     ++useCounter_;
@@ -132,10 +132,10 @@ class CacheModel
         // only memoizable when none of its own earlier lines were
         // evicted by a later fill — otherwise not every line is
         // resident once the span completes.
-        scratchWays_.clear();
+        scratchSlots_.clear();
         bool memoizable = count >= kSpanMemoMinLines;
         if (memoizable)
-            scratchWays_.reserve(count);
+            scratchSlots_.reserve(count);
         const std::uint64_t span_bytes = count * lineSize_;
         Addr line = first_line;
         for (std::uint64_t i = 0; i < count; ++i, line += lineSize_) {
@@ -148,19 +148,13 @@ class CacheModel
                     result.evictedLine - first_line < span_bytes)
                     memoizable = false;
                 else
-                    scratchWays_.push_back(way);
+                    scratchSlots_.push_back(
+                        static_cast<std::uint32_t>(way - lines_.data()));
             }
             on_line(line, result);
         }
-        if (memoizable) {
-            if (spanMemos_.size() >= kSpanMemoMaxEntries)
-                spanMemos_.clear();
-            SpanMemo &memo = spanMemos_[first_line];
-            memo.count = count;
-            memo.core = core;
-            memo.gen = modGen_;
-            memo.ways.assign(scratchWays_.begin(), scratchWays_.end());
-        }
+        if (memoizable)
+            recordSpan(first_line, core);
     }
 
     /**
@@ -180,23 +174,23 @@ class CacheModel
         if (it != spanMemos_.end() && it->second.count == count &&
             (it->second.gen == modGen_ ||
              revalidate(it->second, first_line, it->second.core))) {
-            SpanMemo &memo = it->second;
+            const std::uint32_t *slots = it->second.slots.data();
             Addr line = first_line;
             for (std::uint64_t i = 0; i < count;
                  ++i, line += lineSize_) {
-                Line &way = *memo.ways[i];
+                const std::uint64_t slot = slots[i];
+                Line &way = lines_[slot];
                 if (way.watched)
                     notifyWatched(line);
                 const bool dirty = way.dirty;
                 way.valid = false;
                 way.dirty = false;
-                const auto slot =
-                    static_cast<std::uint64_t>(&way - lines_.data());
                 validMask_[slot / ways_] &=
                     ~(std::uint64_t{1} << (slot % ways_));
                 on_line(line, dirty);
             }
             ++modGen_;
+            memoLines_ -= count;
             spanMemos_.erase(it);
             return;
         }
@@ -296,15 +290,15 @@ class CacheModel
     /**
      * One recorded span: proof that, as of generation gen, the count
      * lines from first were all resident and owned by core, at the
-     * recorded ways. Way storage never reallocates after
-     * construction, so the pointers stay stable; modGen_ equality is
+     * recorded slots of lines_. Way storage never reallocates after
+     * construction, so the slots stay meaningful; modGen_ equality is
      * what certifies the residency/ownership claims are still true.
      */
     struct SpanMemo {
         std::uint64_t count = 0;
         CoreId core = 0;
         std::uint64_t gen = 0;
-        std::vector<Line *> ways;
+        std::vector<std::uint32_t> slots;
     };
 
     /**
@@ -316,8 +310,19 @@ class CacheModel
 
     /** Spans shorter than this are not worth a memo entry. */
     static constexpr std::uint64_t kSpanMemoMinLines = 8;
-    /** Size cap for the memo map (cleared wholesale when reached). */
+    /** Entry cap for the memo map: bounds the per-entry overhead of
+     *  many short spans, which the line cap below does not. */
     static constexpr std::size_t kSpanMemoMaxEntries = 1024;
+
+    /**
+     * Store scratchSlots_ as the memo of the span at @p first_line.
+     * All memos together hold at most as many slots as the LLC has
+     * lines: valid memos cannot claim more resident lines than that
+     * (except where spans overlap), so past the cap the older ones
+     * are mostly stale. The map is cleared wholesale when a record
+     * would pass that cap or kSpanMemoMaxEntries.
+     */
+    void recordSpan(Addr first_line, CoreId core);
 
     /**
      * Re-certify a stale span memo with a read-only walk: the memo's
@@ -333,8 +338,9 @@ class CacheModel
     bool revalidate(SpanMemo &memo, Addr first_line, CoreId core)
     {
         Addr line = first_line;
-        for (Line *way : memo.ways) {
-            if (!way->valid || way->tag != line || way->owner != core)
+        for (const std::uint32_t slot : memo.slots) {
+            const Line &way = lines_[slot];
+            if (!way.valid || way.tag != line || way.owner != core)
                 return false;
             line += lineSize_;
         }
@@ -360,8 +366,13 @@ class CacheModel
         const std::uint64_t hash = mix64(lineAddr(addr));
         return setMask_ ? (hash & setMask_) : hash % validMask_.size();
     }
-    /** Host prefetch of the ways and valid mask of @p addr's set. */
-    void prefetchSet(Addr addr) const
+    /**
+     * Host prefetch of the ways and valid mask of @p addr's set.
+     * Always inlined: GCC otherwise deems the out-of-line helper pure
+     * (it does not count a prefetch as a side effect) and deletes the
+     * call, whose result is unused, with its set-index hash.
+     */
+    [[gnu::always_inline]] void prefetchSet(Addr addr) const
     {
         const std::uint64_t set_idx = setIndex(addr);
         const char *ways =
@@ -393,7 +404,7 @@ class CacheModel
     /**
      * Every way of every set in one set-major array: set s owns
      * lines_[s * ways_, (s + 1) * ways_). Never reallocated after
-     * construction, so Line pointers (the span memo's) stay stable.
+     * construction, so slot indices (the span memo's) stay stable.
      */
     std::vector<Line> lines_;
     /**
@@ -421,11 +432,12 @@ class CacheModel
      */
     std::uint64_t modGen_ = 0;
     std::unordered_map<Addr, SpanMemo> spanMemos_;
+    std::uint64_t memoLines_ = 0; //!< slots held by all spanMemos_
     WatchListener *listener_ = nullptr;
     std::uint64_t watchCount_ = 0; //!< live watchSet() calls
     /** watchSet() count per set, allocated on first use. */
     std::vector<std::uint32_t> setWatchers_;
-    std::vector<Line *> scratchWays_; //!< accessSpan slow-path scratch
+    std::vector<std::uint32_t> scratchSlots_; //!< accessSpan scratch
 };
 
 } // namespace hc::mem

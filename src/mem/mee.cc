@@ -185,10 +185,37 @@ Mee::clearNodeCache()
     leafWay_ = nullptr;
 }
 
+void
+Mee::applyOldest() const
+{
+    Pending &entry = pending_[pendingHead_];
+    LineMeta &meta = *entry.meta;
+    // An untouched entry is at version 0; its initial MAC is
+    // overwritten here anyway.
+    meta.touched = true;
+    ++meta.trustedVersion;
+    meta.dramVersion = meta.trustedVersion;
+    meta.dramMac = macFor(entry.index, meta.dramVersion);
+    // The fresh pair matches the trusted counter by construction.
+    meta.verified = true;
+    --pendingByLine_[entry.index % kPendingFilter];
+    pendingHead_ = (pendingHead_ + 1) % kPendingSlots;
+    --pendingCount_;
+}
+
+void
+Mee::drainWritebacks() const
+{
+    while (pendingCount_ != 0)
+        applyOldest();
+}
+
 bool
 Mee::verifyLine(Addr line_addr) const
 {
     const std::uint64_t idx = lineIndex(line_addr);
+    if (pendingByLine_[idx % kPendingFilter])
+        drainWritebacks();
     Chunk *chunk = chunkFor(idx, /*create=*/false);
     if (!chunk)
         return true; // untouched line: version 0, MAC as initialised
@@ -207,6 +234,7 @@ std::uint32_t
 Mee::trustedVersion(Addr line_addr) const
 {
     const std::uint64_t idx = lineIndex(line_addr);
+    drainWritebacks();
     const auto it = lines_.find(idx >> kChunkShift);
     if (it == lines_.end())
         return 0;
@@ -217,17 +245,22 @@ Mee::trustedVersion(Addr line_addr) const
 void
 Mee::writebackLine(Addr line_addr)
 {
-    LineMeta &meta = metaFor(lineIndex(line_addr));
-    ++meta.trustedVersion;
-    meta.dramVersion = meta.trustedVersion;
-    meta.dramMac = macFor(lineIndex(line_addr), meta.dramVersion);
-    // The fresh pair matches the trusted counter by construction.
-    meta.verified = true;
+    const std::uint64_t idx = lineIndex(line_addr);
+    LineMeta *meta = &chunkFor(idx, /*create=*/true)
+                          ->metas[idx & ((1u << kChunkShift) - 1)];
+    __builtin_prefetch(meta, 1);
+    if (pendingCount_ == kPendingSlots)
+        applyOldest();
+    pending_[(pendingHead_ + pendingCount_) % kPendingSlots] =
+        Pending{idx, meta};
+    ++pendingCount_;
+    ++pendingByLine_[idx % kPendingFilter];
 }
 
 void
 Mee::tamperMac(Addr line_addr)
 {
+    drainWritebacks();
     LineMeta &meta = metaFor(lineIndex(line_addr));
     meta.dramMac ^= 0x1;
     meta.verified = false;
@@ -236,6 +269,7 @@ Mee::tamperMac(Addr line_addr)
 void
 Mee::rollbackLine(Addr line_addr)
 {
+    drainWritebacks();
     LineMeta &meta = metaFor(lineIndex(line_addr));
     hc_assert(meta.dramVersion > 0);
     --meta.dramVersion;

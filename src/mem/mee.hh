@@ -97,7 +97,11 @@ class Mee
      */
     bool verifyLine(Addr line_addr) const;
 
-    /** Record a write-back of @p line_addr: bump version, re-MAC. */
+    /**
+     * Record a write-back of @p line_addr: bump version, re-MAC.
+     * Applied lazily (see pending_); every reader of the line's state
+     * below sees it applied.
+     */
     void writebackLine(Addr line_addr);
 
     /** Attack hook: corrupt the stored MAC of a line. */
@@ -146,6 +150,8 @@ class Mee
                          std::uint64_t version) const;
     /** Materialise (or fetch) the overlay entry for @p line_index. */
     LineMeta &metaFor(std::uint64_t line_index);
+    /** Apply every pending write-back, oldest first. */
+    void drainWritebacks() const;
 
     const CostParams &params_;
     Addr epcBase_;
@@ -222,6 +228,37 @@ class Mee
         Chunk *chunk = nullptr; //!< null: no chunk for key (yet)
     };
     mutable std::vector<ChunkSlot> chunkSlots_;
+
+    /**
+     * Write-backs queued but not yet applied, oldest at pendingHead_.
+     * A dirty EPC victim's LineMeta is rarely in the host cache, so
+     * writebackLine() only resolves the entry, prefetches it and
+     * queues it; the bump and re-MAC happen kPendingSlots write-backs
+     * later, when the queue is full. Outputs cannot move: a
+     * write-back touches only its own line's LineMeta and never the
+     * node cache, the queue is FIFO (two write-backs of one line
+     * apply in order), and every reader of a line's state drains
+     * first (verifyLine() when the line may be pending; tamperMac(),
+     * rollbackLine() and trustedVersion() always). Entries point into
+     * map nodes, which never move.
+     */
+    static constexpr std::size_t kPendingSlots = 16;
+    struct Pending {
+        std::uint64_t index = 0;
+        LineMeta *meta = nullptr;
+    };
+    mutable std::array<Pending, kPendingSlots> pending_{};
+    mutable std::size_t pendingHead_ = 0;
+    mutable std::size_t pendingCount_ = 0;
+    /**
+     * Pending write-backs per line index modulo kPendingFilter, so
+     * verifyLine() tests one counter instead of scanning the ring. A
+     * collision only drains early, which is always safe.
+     */
+    static constexpr std::size_t kPendingFilter = 64;
+    mutable std::array<std::uint8_t, kPendingFilter> pendingByLine_{};
+    /** Apply the write-back in pending_[pendingHead_] and free it. */
+    void applyOldest() const;
 
     std::uint64_t nodeHits_ = 0;
     std::uint64_t nodeMisses_ = 0;

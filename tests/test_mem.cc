@@ -292,6 +292,89 @@ TEST(Mee, AliasedChunksStayDistinct)
     EXPECT_EQ(mee.trustedVersion(b), 3u);
 }
 
+// Write-backs are queued and applied later (Mee::pending_). Each test
+// below reads a line whose write-back is still queued, so it sees
+// the write-back applied only if the reader drains the queue.
+
+TEST(Mee, PendingWritebackRepairsVerify)
+{
+    CostParams params;
+    Mee mee(params, 0, 1_MiB, 99);
+    mee.writebackLine(0);
+    mee.rollbackLine(0);
+    EXPECT_FALSE(mee.verifyLine(0));
+    mee.writebackLine(0); // pending: re-MACs at version 2
+    EXPECT_TRUE(mee.verifyLine(0));
+    EXPECT_EQ(mee.trustedVersion(0), 2u);
+}
+
+TEST(Mee, TamperAfterPendingWritebackIsDetected)
+{
+    CostParams params;
+    Mee mee(params, 0, 1_MiB, 99);
+    mee.writebackLine(64);
+    mee.tamperMac(64); // must land after the write-back's re-MAC
+    EXPECT_FALSE(mee.verifyLine(64));
+    EXPECT_EQ(mee.trustedVersion(64), 1u);
+}
+
+TEST(Mee, RollbackAfterPendingWritebacksIsDetected)
+{
+    CostParams params;
+    Mee mee(params, 0, 1_MiB, 99);
+    mee.writebackLine(128); // the same line queued twice
+    mee.writebackLine(128);
+    mee.rollbackLine(128); // replays version 1 against trusted 2
+    EXPECT_FALSE(mee.verifyLine(128));
+    EXPECT_EQ(mee.trustedVersion(128), 2u);
+}
+
+TEST(Mee, TrustedVersionCountsPendingWritebacks)
+{
+    CostParams params;
+    Mee mee(params, 0, 1_MiB, 99);
+    mee.writebackLine(192);
+    EXPECT_EQ(mee.trustedVersion(192), 1u);
+    mee.writebackLine(192);
+    mee.writebackLine(192);
+    EXPECT_EQ(mee.trustedVersion(192), 3u);
+    EXPECT_TRUE(mee.verifyLine(192));
+}
+
+TEST(Mee, WritebacksBeyondTheQueueAllApply)
+{
+    CostParams params;
+    Mee mee(params, 0, 256_MiB, 99);
+    // A tampered line whose repairing write-back then leaves the
+    // queue by overflow, not by a drain: verifyLine() of a line that
+    // is no longer pending does not drain.
+    const Addr fixed = 3 * 64;
+    mee.writebackLine(fixed);
+    mee.tamperMac(fixed);
+    EXPECT_FALSE(mee.verifyLine(fixed));
+    mee.writebackLine(fixed);
+    // Far more write-backs than the queue holds, spread over chunks
+    // and repeating lines, with no reader in between.
+    constexpr int kLines = 40;
+    const auto line_at = [](int i) {
+        return 1_MiB + static_cast<Addr>(i) * 65 * 64; // 65 lines apart
+    };
+    for (int i = 0; i < kLines; ++i)
+        mee.writebackLine(line_at(i));
+    for (int again = 1; again <= 2; ++again) {
+        for (int i = again; i < kLines; i += 4)
+            mee.writebackLine(line_at(i));
+    }
+    EXPECT_TRUE(mee.verifyLine(fixed));
+    for (int i = 0; i < kLines; ++i) {
+        const Addr line = line_at(i);
+        const std::uint32_t expected = (i % 4 == 1 || i % 4 == 2) ? 2 : 1;
+        EXPECT_EQ(mee.trustedVersion(line), expected) << "line " << i;
+        EXPECT_TRUE(mee.verifyLine(line)) << "line " << i;
+    }
+    EXPECT_EQ(mee.trustedVersion(fixed), 2u);
+}
+
 // ----------------------------------------------------------------------
 // MemoryModel: the Table 1 anchors.
 // ----------------------------------------------------------------------
@@ -867,9 +950,17 @@ class Lockstep
      *  lines each) are 4096 chunks apart. */
     static constexpr std::uint64_t kAliasGap = 16_MiB;
 
-    Lockstep(const CostParams &params, bool bulk_span)
+    /**
+     * @param versions_each_op compare the trusted versions of the
+     *        lines an op touched after every op. Reading a version
+     *        drains Mee's write-back queue, so without it write-backs
+     *        stay queued across ops until the next sweep.
+     */
+    Lockstep(const CostParams &params, bool bulk_span,
+             bool versions_each_op = true)
         : engine_(engineConfig()), space_(1_MiB, params.epcVirtualSize),
-          mem_(engine_, space_, params, kKey), ref_(params, space_, kKey)
+          mem_(engine_, space_, params, kKey), ref_(params, space_, kKey),
+          versionsEachOp_(versions_each_op)
     {
         mem_.setBulkSpan(bulk_span);
         const auto page_cost = [](Addr page, bool write) -> Cycles {
@@ -1101,7 +1192,7 @@ class Lockstep
         return true;
     }
 
-    bool sameLine(std::size_t i, Addr line)
+    bool sameLine(std::size_t i, Addr line, bool versions)
     {
         const auto got = mem_.cache().waysOf(line);
         const auto &want = ref_.cache().setOf(line);
@@ -1111,7 +1202,7 @@ class Lockstep
                         "\n  reference " + setSignature(want));
             return false;
         }
-        if (space_.isEpc(line))
+        if (versions && space_.isEpc(line))
             return same(i, "trusted version",
                         mem_.mee().trustedVersion(line),
                         ref_.mee().trustedVersion(line));
@@ -1120,6 +1211,13 @@ class Lockstep
 
     void step(std::size_t i)
     {
+        // Without per-op version checks, aim every other attack or
+        // check at the latest write-back, which may still be queued.
+        const MemOp::Kind kind = ops_[i].kind;
+        if (!versionsEachOp_ && i % 2 == 0 && !ref_.writebacks.empty() &&
+            (kind == MemOp::Tamper || kind == MemOp::Rollback ||
+             kind == MemOp::Verify))
+            ops_[i].addr = ref_.writebacks.back();
         const MemOp &op = ops_[i];
         const std::size_t writebacks = ref_.writebacks.size();
         Cycles got = 0;
@@ -1221,7 +1319,7 @@ class Lockstep
             return fail(i, "a different line failed verification");
         // Each write-back line, and every line and set the op touched.
         for (std::size_t w = writebacks; w < ref_.writebacks.size(); ++w)
-            if (!sameLine(i, ref_.writebacks[w]))
+            if (!sameLine(i, ref_.writebacks[w], versionsEachOp_))
                 return;
         if (op.kind == MemOp::EvictAll)
             return;
@@ -1231,7 +1329,7 @@ class Lockstep
                               op.addr / kCacheLineSize + 1;
         Addr line = refmem::lineOf(op.addr);
         for (std::uint64_t n = 0; n < count; ++n, line += kCacheLineSize)
-            if (!sameLine(i, line))
+            if (!sameLine(i, line, versionsEachOp_))
                 return;
     }
 
@@ -1242,7 +1340,7 @@ class Lockstep
         for (const auto &[base, size] : regions_) {
             for (Addr line = base; line < base + size;
                  line += kCacheLineSize) {
-                if (!sameLine(i, line))
+                if (!sameLine(i, line, true))
                     return;
                 if (space_.isEpc(line) &&
                     !same(i, "verifyLine (sweep)",
@@ -1261,6 +1359,7 @@ class Lockstep
     std::vector<Span> pool_;
     std::vector<MemOp> ops_;
     std::vector<Addr> failures_;
+    bool versionsEachOp_;
     bool failed_ = false;
 };
 
@@ -1285,5 +1384,13 @@ TEST(RefMem, LockstepUnderRandomOps)
             Lockstep lockstep(params, bulk);
             EXPECT_EQ(lockstep.run(0x10c5, kOps), kOps);
         }
+    }
+    // Versions compared only at the sweeps, so MEE write-backs stay
+    // queued across ops (and tamper, rollback and verify ops meet
+    // pending ones).
+    for (const bool bulk : {false, true}) {
+        SCOPED_TRACE(testing::Message() << "queued bulk=" << bulk);
+        Lockstep lockstep(small, bulk, /*versions_each_op=*/false);
+        EXPECT_EQ(lockstep.run(0x10c5, kOps), kOps);
     }
 }
