@@ -2,6 +2,7 @@
 """Turn a hostprof sample file into flat and per-layer self-time tables.
 
     python3 scripts/hostprof/symbolize.py hostprof.<pid>.raw [--top N]
+        [--lines K]
 
 Each sample is one interrupted program counter (self time only). PCs
 are resolved to the mapped file with the recorded /proc/self/maps
@@ -11,6 +12,11 @@ stripped libraries). Symbols are grouped into layers by the first
 `hc::<namespace>::` they mention, so inlined standard-library helpers
 instantiated on simulator types (std::vector<hc::sim::Thread*>, ...)
 count toward the layer that uses them.
+
+With --lines K, the K hottest symbols are also split by source line
+(self time per line, innermost inlined line first): one batched
+`addr2line -e FILE -C` call per mapped file. This is how a single
+stalling load, or a prefetch the compiler deleted, shows up.
 """
 
 import argparse
@@ -118,12 +124,13 @@ class Resolver:
         self.syms = {}
 
     def resolve(self, pc):
+        """@return (symbol, mapped file, ELF virtual address or None)."""
         i = bisect.bisect_right(self.starts, pc) - 1
         if i < 0 or pc >= self.maps[i][1]:
-            return "?", "[unmapped]"
+            return "?", "[unmapped]", None
         start, _end, off, path = self.maps[i]
         if path.startswith("[") or not path.startswith("/"):
-            return "?" + path, path
+            return "?" + path, path, None
         if path not in self.segs:
             self.segs[path] = load_segments(path)
             self.syms[path] = load_symbols(path)
@@ -136,11 +143,50 @@ class Resolver:
         starts, syms = self.syms[path]
         j = bisect.bisect_right(starts, vaddr) - 1
         if j < 0:
-            return "?" + path.rsplit("/", 1)[-1], path
+            return "?" + path.rsplit("/", 1)[-1], path, vaddr
         sym_start, size, name = syms[j]
         if size and vaddr >= sym_start + size:
-            return "?" + path.rsplit("/", 1)[-1], path
-        return name, path
+            return "?" + path.rsplit("/", 1)[-1], path, vaddr
+        return name, path, vaddr
+
+
+def source_lines(path, vaddrs, addr2line="addr2line"):
+    """@return {vaddr: "dir/file:line"} for @p vaddrs of ELF file
+    @p path, from one addr2line call ("??:0" when it knows nothing)."""
+    vaddrs = sorted(set(vaddrs))
+    try:
+        out = subprocess.run(
+            [addr2line, "-e", path, "-C"],
+            input="".join(f"{v:x}\n" for v in vaddrs),
+            capture_output=True, text=True).stdout.splitlines()
+    except OSError:
+        out = []
+    table = {}
+    for v, loc in zip(vaddrs, out + ["??:0"] * (len(vaddrs) - len(out))):
+        loc = loc.split(" (discriminator")[0].strip()
+        file, _, line = loc.rpartition(":")
+        table[v] = "/".join(file.split("/")[-2:]) + ":" + line
+    return table
+
+
+def line_profile(samples, hot, addr2line="addr2line"):
+    """Split the samples of the symbols in @p hot by source line.
+
+    @p samples: [(symbol, mapped file, vaddr or None)], one per sample.
+    @return {symbol: Counter({"file:line": samples})}.
+    """
+    by_path = collections.defaultdict(set)
+    for name, path, vaddr in samples:
+        if name in hot and vaddr is not None:
+            by_path[path].add(vaddr)
+    tables = {path: source_lines(path, vaddrs, addr2line)
+              for path, vaddrs in by_path.items()}
+    out = {name: collections.Counter() for name in hot}
+    for name, path, vaddr in samples:
+        if name in hot:
+            loc = tables[path][vaddr] if vaddr is not None else "??:0"
+            out[name][loc] += 1
+    return out
 
 
 def main():
@@ -148,6 +194,8 @@ def main():
     ap.add_argument("raw", help="hostprof.<pid>.raw written by the sampler")
     ap.add_argument("--top", type=int, default=25,
                     help="symbols to list (default 25)")
+    ap.add_argument("--lines", type=int, default=0, metavar="K",
+                    help="split the K hottest symbols by source line")
     args = ap.parse_args()
 
     maps, pcs = [], []
@@ -171,14 +219,16 @@ def main():
     by_layer = collections.Counter()
     sym_layer = {}
     cache = {}
+    samples = []
     for pc in pcs:
         if pc not in cache:
-            name, path = resolver.resolve(pc)
-            cache[pc] = (name, layer_of(name, path))
-        name, layer = cache[pc]
+            name, path, vaddr = resolver.resolve(pc)
+            cache[pc] = (name, path, vaddr, layer_of(name, path))
+        name, path, vaddr, layer = cache[pc]
         by_sym[name] += 1
         by_layer[layer] += 1
         sym_layer[name] = layer
+        samples.append((name, path, vaddr))
 
     total = len(pcs)
     cpu = f", {cpu_s:.2f} s CPU" if cpu_s is not None else ""
@@ -193,6 +243,15 @@ def main():
         short = name if len(name) <= 90 else name[:87] + "..."
         print(f"{100.0 * n / total:>6.1f}% {n:>9}  {sym_layer[name]:<16} "
               f"{short}")
+    if args.lines > 0:
+        hot = [name for name, _ in by_sym.most_common(args.lines)]
+        split = line_profile(samples, set(hot))
+        for name in hot:
+            short = name if len(name) <= 90 else name[:87] + "..."
+            print()
+            print(f"== {short}")
+            for loc, n in split[name].most_common(args.top):
+                print(f"{100.0 * n / total:>6.1f}% {n:>9}  {loc}")
 
 
 if __name__ == "__main__":
