@@ -8,10 +8,11 @@ Runs K pairs of `BIN --workload W --seed S --seconds N --trace 0`. Pair
 i runs A first when i is even and B first when i is odd, so a drift in
 host speed over the session lands on both sides alike. For each pair it
 prints sim_s_per_host_s, setup_s and peak_rss_mb of both sides; then the
-medians, the median of the per-pair B/A ratios of sim_s_per_host_s, the
-number of pairs B won (higher sim_s_per_host_s), and whether every run's
-digest and every simulated metric (all but the host-time and memory
-ones) matched the first run of A.
+medians, each side's interquartile range of sim_s_per_host_s (its own
+noise), the median and the range of the per-pair B/A ratios of
+sim_s_per_host_s, the number of pairs B won (higher sim_s_per_host_s),
+and whether every run's digest and every simulated metric (all but the
+host-time and memory ones) matched the first run of A.
 
 Build the two binaries from the two commits, e.g. with
 `cmake -S perfbench -B DIR -DCMAKE_BUILD_TYPE=RelWithDebInfo` in each
@@ -96,18 +97,32 @@ def simulated_mismatches(pairs):
     return out
 
 
+def iqr(values):
+    """@return the interquartile range of @p values (0 for fewer than
+    two), quartiles interpolated inclusively as numpy does by default."""
+    if len(values) < 2:
+        return 0.0
+    q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q3 - q1
+
+
 def summarize(pairs):
-    """@return {"a": {metric: median}, "b": {...}, "ratio": median of
-    per-pair B/A sim_s_per_host_s, "wins": pairs B won}."""
+    """@return {"a": {metric: median}, "b": {...}, "iqr": {"a": IQR of
+    A's sim_s_per_host_s, "b": ...}, "ratio": median of per-pair B/A
+    sim_s_per_host_s, "ratio_min"/"ratio_max": their range, "wins":
+    pairs B won}."""
     med = {}
     for idx, side in enumerate("ab"):
         med[side] = {m: statistics.median(p[idx][1][m] for p in pairs)
                      for m in SHOWN}
     key = SHOWN[0]
+    spread = {side: iqr([p[idx][1][key] for p in pairs])
+              for idx, side in enumerate("ab")}
     ratios = [b[1][key] / a[1][key] for a, b in pairs]
     wins = sum(1 for a, b in pairs if b[1][key] > a[1][key])
-    return {"a": med["a"], "b": med["b"],
-            "ratio": statistics.median(ratios), "wins": wins}
+    return {"a": med["a"], "b": med["b"], "iqr": spread,
+            "ratio": statistics.median(ratios), "ratio_min": min(ratios),
+            "ratio_max": max(ratios), "wins": wins}
 
 
 def report(pairs, out=None):
@@ -123,7 +138,11 @@ def report(pairs, out=None):
     for m in SHOWN:
         print(f"median {m}: A {s['a'][m]:.6g}  B {s['b'][m]:.6g}",
               file=out)
-    print(f"median B/A {SHOWN[0]}: {s['ratio']:.4f}", file=out)
+    print(f"IQR {SHOWN[0]}: A {s['iqr']['a']:.6g}  B {s['iqr']['b']:.6g}",
+          file=out)
+    print(f"median B/A {SHOWN[0]}: {s['ratio']:.4f}"
+          f"  (min {s['ratio_min']:.4f}, max {s['ratio_max']:.4f})",
+          file=out)
     print(f"B wins: {s['wins']}/{len(pairs)}", file=out)
     bad = simulated_mismatches(pairs)
     print(f"simulated outputs match: {'yes' if not bad else 'no'}",

@@ -86,7 +86,11 @@ class AbPairsTest(unittest.TestCase):
         self.assertIn("median sim_s_per_host_s: A 2  B 2.5", text)
         self.assertIn("median setup_s: A 0.2  B 0.1", text)
         self.assertIn("median peak_rss_mb: A 30  B 31", text)
-        self.assertIn("median B/A sim_s_per_host_s: 2.0000", text)
+        # A: 1, 2, 3 (quartiles 1.5, 2.5); B: 2, 2.5, 4 (2.25, 3.25).
+        self.assertIn("IQR sim_s_per_host_s: A 1  B 1", text)
+        # Ratios 2.0, 0.8333, 2.0.
+        self.assertIn("median B/A sim_s_per_host_s: 2.0000"
+                      "  (min 0.8333, max 2.0000)", text)
         self.assertIn("B wins: 2/3", text)
         # sdk.host_ns_per_ecall differs per call but is a host metric.
         self.assertIn("simulated outputs match: yes", text)
@@ -100,6 +104,13 @@ class AbPairsTest(unittest.TestCase):
         self.assertEqual(status, 1)
         self.assertIn("simulated outputs match: no", out.getvalue())
         self.assertIn("pair 0 B: digest d2 != d1", out.getvalue())
+
+    def test_iqr(self):
+        self.assertEqual(ab_pairs.iqr([5.0]), 0.0)
+        self.assertEqual(ab_pairs.iqr([1.0, 2.0]), 0.5)
+        self.assertAlmostEqual(ab_pairs.iqr([4.0, 1.0, 3.0, 2.0]), 1.5)
+        self.assertAlmostEqual(
+            ab_pairs.iqr([0.30, 0.31, 0.29, 0.35, 0.30]), 0.01)
 
     def test_host_metric_classification(self):
         for name in ("sim_s_per_host_s", "setup_s", "peak_rss_mb",

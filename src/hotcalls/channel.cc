@@ -21,8 +21,6 @@ namespace {
 constexpr Cycles kRequesterFixed = 95;
 /** Responder-side fixed dispatch (call-table lookup, jump). */
 constexpr Cycles kResponderFixed = 85;
-/** Small per-poll jitter bound (pipeline/branch variation). */
-constexpr Cycles kPollJitter = 22;
 /** Mean length of a responder scheduling hiccup. */
 constexpr Cycles kHiccupMean = 230;
 
@@ -493,8 +491,7 @@ void
 Channel::pauseJittered()
 {
     auto &engine = machine_.engine();
-    engine.advance(sdk::kPauseCycles +
-                   engine.currentThread()->rng().nextBelow(kPollJitter + 1));
+    engine.advance(pollPause(engine.currentThread()->rng()));
 }
 
 void
@@ -526,7 +523,7 @@ Channel::PollParker::park(Cycles limit, Addr also_watch)
     // for real: the interrupt handler draws from the master stream.
     const Cycles interrupt = engine.nextInterruptAt(self_->core());
     const Cycles max_step =
-        machine.memory().params().ownedHit + sdk::kPauseCycles + kPollJitter;
+        machine.memory().params().ownedHit + kMaxPollPause;
     if (interrupt != sim::kNever)
         limit = std::min(limit, interrupt > max_step ? interrupt - max_step
                                                      : 0);
@@ -555,15 +552,11 @@ Cycles
 Channel::PollParker::wake(Cycles time, CoreId core)
 {
     // Replay every block the scheduler would have run before the
-    // boundary: earlier clock, or the same clock on a lower core.
+    // boundary: earlier clock, or the same clock on a lower core, and
+    // never at or past the limit.
     const bool first_on_tie = self_->core() < core;
-    Cycles t = clock_;
-    accesses_ = 0;
-    anyWrite_ = false;
-    while (t < limit_ && (t < time || (t == time && first_on_tie))) {
-        t += block(phase_, t);
-        phase_ = phase_ + 1 == blocks_ ? 0 : phase_ + 1;
-    }
+    replay(first_on_tie && time < limit_ ? time + 1
+                                         : std::min(time, limit_));
     // Nothing touched the cache since the park, so the replayed hits
     // apply in one batch.
     if (accesses_ > 0) {
@@ -573,8 +566,7 @@ Channel::PollParker::wake(Cycles time, CoreId core)
     unwatch();
     auto &parked = channel_.parkedPollers_;
     parked.erase(std::find(parked.begin(), parked.end(), this));
-    clock_ = t;
-    return t;
+    return clock_;
 }
 
 void
@@ -586,30 +578,29 @@ Channel::PollParker::unwatch()
         cache.unwatchSet(alsoWatch_);
 }
 
-Cycles
-Channel::PollParker::access(bool write)
+void
+Channel::PollParker::checkAccess(bool write)
 {
-    ++accesses_;
-    anyWrite_ = anyWrite_ || write;
-    // The race detector sees each replayed access, in order.
-    if (check_)
-        check_->onWordAccessBy(self_, line_, write);
-    return hitCost_;
+    check_->onWordAccessBy(self_, line_, write);
 }
 
-Cycles
-Channel::PollParker::pause()
-{
-    return sdk::kPauseCycles + self_->rng().nextBelow(kPollJitter + 1);
-}
-
-Cycles
-Channel::RequesterParker::block(int phase, Cycles)
+void
+Channel::RequesterParker::replay(Cycles stop)
 {
     // Block 0 polls the line; block 1 observes "not done", finds no
     // stop (stop wakes the poller) and no reclaim (the limit stays
     // before reclaimHorizon()), then pauses.
-    return phase == 0 ? access(false) : pause();
+    Replay r(*this, stop);
+    int phase = 0;
+    while (r.runs()) {
+        r.access(false);
+        phase = 1;
+        if (!r.runs())
+            break;
+        r.pause();
+        phase = 0;
+    }
+    r.finish(phase);
 }
 
 void

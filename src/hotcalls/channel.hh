@@ -24,8 +24,24 @@
 #include "guard/guard.hh"
 #include "mem/arena.hh"
 #include "sdk/runtime.hh"
+#include "sdk/spinlock.hh"
+#include "support/rng.hh"
 
 namespace hc::hotcalls {
+
+/** Small per-poll jitter bound (pipeline/branch variation). */
+constexpr Cycles kPollJitter = 22;
+/** The longest pollPause(). */
+constexpr Cycles kMaxPollPause = sdk::kPauseCycles + kPollJitter;
+
+/** One poll's PAUSE plus its jitter, drawn from the polling thread's
+ *  stream @p rng. The live poll loops and the SpinPark replay both
+ *  draw here, so a replayed poll cannot drift from a polled one. */
+inline Cycles
+pollPause(Rng &rng)
+{
+    return sdk::kPauseCycles + rng.nextBelow(kPollJitter + 1);
+}
 
 /** Which direction a channel accelerates. */
 enum class Kind {
@@ -167,18 +183,16 @@ class Channel
     };
 
     /**
-     * An idle poll loop parked with sim::Engine::park(). The concrete
-     * loop describes one poll as a cycle of blocks (the actions at
-     * one clock value, each followed by one advance) through block();
-     * wake() replays them from the poller's own RNG stream.
+     * An idle poll loop parked with sim::Engine::park(). While parked
+     * every poll repeats exactly, so wake() replays the skipped ones
+     * in one call of the concrete parker's replay() kernel.
      */
     class PollParker : public sim::SpinPoller
     {
       public:
-        /** @param line  the control line the loop polls
-         *  @param blocks  blocks per poll */
-        PollParker(Channel &channel, Addr line, int blocks)
-            : channel_(channel), line_(line), blocks_(blocks)
+        /** @param line  the control line the loop polls */
+        PollParker(Channel &channel, Addr line)
+            : channel_(channel), line_(line)
         {
         }
 
@@ -196,26 +210,83 @@ class Channel
          */
         int park(Cycles limit, Addr also_watch = 0);
 
-        Cycles wake(Cycles time, CoreId core) override;
+        Cycles wake(Cycles time, CoreId core) final;
 
       protected:
-        /** Apply the replayed effects of block @p phase at clock
-         *  @p t. @return the advance that follows it. */
-        virtual Cycles block(int phase, Cycles t) = 0;
+        /**
+         * One wake's replay, on local copies of the clock, the
+         * thread's RNG and the replayed-access count: nothing the
+         * kernel loop updates aliases memory, so it stays in
+         * registers. finish() commits it once.
+         */
+        class Replay
+        {
+          public:
+            Replay(PollParker &parker, Cycles stop)
+                : t(parker.clock_), parker_(parker), stop_(stop),
+                  hit_(parker.hitCost_), rng_(parker.self_->rng()),
+                  checked_(parker.check_ != nullptr)
+            {
+            }
 
-        /** Replayed poll access of the watched line. */
-        Cycles access(bool write);
-        /** Replayed PAUSE plus the jitter draw. */
-        Cycles pause();
+            /** @return true when the block at clock t is replayed. */
+            bool runs() const { return t < stop_; }
+
+            /** A replayed poll access of the watched line. */
+            void access(bool write)
+            {
+                ++accesses_;
+                written_ = written_ || write;
+                // The race detector sees each replayed access, in
+                // order.
+                if (checked_)
+                    parker_.checkAccess(write);
+                t += hit_;
+            }
+
+            /** A replayed pollPause(). */
+            void pause() { t += pollPause(rng_); }
+
+            /** Commit the replay; the poll resumes at block
+             *  @p phase (0: a fresh poll). */
+            void finish(int phase)
+            {
+                parker_.self_->rng() = rng_;
+                parker_.clock_ = t;
+                parker_.phase_ = phase;
+                parker_.accesses_ = accesses_;
+                parker_.anyWrite_ = written_;
+            }
+
+            Cycles t; //!< clock of the next block
+
+          private:
+            PollParker &parker_;
+            const Cycles stop_;
+            const Cycles hit_;
+            Rng rng_;
+            const bool checked_;
+            std::uint64_t accesses_ = 0;
+            bool written_ = false;
+        };
+
+        /**
+         * The kernel: replay, through a Replay, every block before
+         * clock @p stop from block 0 of a poll at the park clock,
+         * then commit the loop's own state once.
+         */
+        virtual void replay(Cycles stop) = 0;
+
         /** The parked thread. */
         sim::Thread &self() { return *self_; }
 
       private:
         void unwatch();
+        /** Report one replayed access to SimCheck. */
+        void checkAccess(bool write);
 
         Channel &channel_;
         const Addr line_;
-        const int blocks_;
         Addr alsoWatch_ = 0;
         sim::Thread *self_ = nullptr;
         check::SimCheck *check_ = nullptr;
@@ -233,12 +304,12 @@ class Channel
     {
       public:
         RequesterParker(Channel &channel, Addr line)
-            : PollParker(channel, line, 2)
+            : PollParker(channel, line)
         {
         }
 
       protected:
-        Cycles block(int phase, Cycles t) override;
+        void replay(Cycles stop) override;
     };
 
     /** Outcome of one claim attempt. */
@@ -331,7 +402,7 @@ class Channel
      *  then the scheduling-hiccup draw. */
     void afterServe();
 
-    /** PAUSE plus the per-poll jitter draw. */
+    /** One live pollPause() on the current thread. */
     void pauseJittered();
 
     /** Wake this channel's parked pollers before a change they do

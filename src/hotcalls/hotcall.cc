@@ -365,34 +365,57 @@ HotCallService::responderLoop(std::uint64_t epoch)
         exitEnclave(tcs);
 }
 
-Cycles
-HotCallService::ResponderParker::block(int phase, Cycles t)
+void
+HotCallService::ResponderParker::replay(Cycles stop)
 {
     // Nothing this poll observes can change while parked: the sleep
     // check stays short of its threshold (the park limit), stop and
     // retirement wake the poller, and a requester reaches the lock
-    // word and the busy flag only through the watched line.
+    // word and the busy flag only through the watched line. The lock
+    // word, the counters and the beat are committed once: the tops
+    // rise, so the last one is the beat polling would leave.
     HotCallService &s = service_;
-    switch (phase) {
-      case 0: // poll top, then the lock RFO
-        ++s.stats_.responderPolls;
-        if (s.guard_)
-            s.guard_->replayHeartbeat(t);
-        return access(true);
-      case 1: // lock free: take it, read the busy flag
-        s.lockWord_ = true;
-        if (s.protocol_)
-            s.protocol_->onLockBy(self().name());
-        return access(false);
-      case 2: // not busy: release the lock
-        ++idlePolls_;
-        s.lockWord_ = false;
-        if (s.protocol_)
-            s.protocol_->onUnlockBy(self().name());
-        return access(true);
-      default:
-        return pause();
+    Replay r(*this, stop);
+    check::HotCallProtocol *const protocol = s.protocol_.get();
+    bool locked = s.lockWord_;
+    std::uint64_t polls = 0;
+    std::uint64_t idle = 0;
+    Cycles top = 0;
+    int phase = 0;
+    while (r.runs()) {
+        // Poll top, then the lock RFO.
+        ++polls;
+        top = r.t;
+        r.access(true);
+        phase = 1;
+        if (!r.runs())
+            break;
+        // Lock free: take it, read the busy flag.
+        locked = true;
+        if (protocol)
+            protocol->onLockBy(self().name());
+        r.access(false);
+        phase = 2;
+        if (!r.runs())
+            break;
+        // Not busy: release the lock.
+        ++idle;
+        locked = false;
+        if (protocol)
+            protocol->onUnlockBy(self().name());
+        r.access(true);
+        phase = 3;
+        if (!r.runs())
+            break;
+        r.pause();
+        phase = 0;
     }
+    s.lockWord_ = locked;
+    s.stats_.responderPolls += polls;
+    idlePolls_ += idle;
+    if (polls > 0 && s.guard_)
+        s.guard_->replayHeartbeat(top);
+    r.finish(phase);
 }
 
 } // namespace hc::hotcalls

@@ -110,13 +110,13 @@ class HotCallService : public Channel
       public:
         ResponderParker(HotCallService &service,
                         std::uint64_t &idle_polls)
-            : PollParker(service, service.channelLine_, 4),
+            : PollParker(service, service.channelLine_),
               service_(service), idlePolls_(idle_polls)
         {
         }
 
       protected:
-        Cycles block(int phase, Cycles t) override;
+        void replay(Cycles stop) override;
 
       private:
         HotCallService &service_;

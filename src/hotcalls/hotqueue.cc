@@ -591,27 +591,45 @@ HotQueue::responderLoop(int index)
         exitEnclave(tcs);
 }
 
-Cycles
-HotQueue::ResponderParker::block(int phase, Cycles t)
+void
+HotQueue::ResponderParker::replay(Cycles stop)
 {
-    if (phase == 1) { // ring empty: count the poll, pause
-        ++window_.polls;
-        return pause();
+    // The window, the poll count and the beat are committed once: the
+    // tops rise, so the last one is the beat polling would leave.
+    Replay r(*this, stop);
+    const std::uint64_t window_polls = queue_.config_.scaleWindowPolls;
+    Window w = window_;
+    std::uint64_t polls = 0;
+    Cycles top = 0;
+    int phase = 0;
+    while (r.runs()) {
+        // Window check of the previous poll: the pool cannot shrink
+        // (it only parks while at its minimum, and a size change wakes
+        // it), so the check only starts a fresh window. Then the poll
+        // top: no stop (stop wakes the poller), heartbeat, cursor
+        // read.
+        if (w.polls >= window_polls) {
+            w.polls = 0;
+            w.busy = 0;
+            w.start = r.t;
+        }
+        ++polls;
+        top = r.t;
+        w.pollStart = r.t;
+        r.access(false);
+        phase = 1;
+        if (!r.runs())
+            break;
+        // Ring empty: count the poll, pause.
+        ++w.polls;
+        r.pause();
+        phase = 0;
     }
-    // Window check of the previous poll: the pool cannot shrink (it
-    // only parks while at its minimum, and a size change wakes it),
-    // so the check only starts a fresh window. Then the poll top: no
-    // stop (stop wakes the poller), heartbeat, cursor read.
-    if (window_.polls >= queue_.config_.scaleWindowPolls) {
-        window_.polls = 0;
-        window_.busy = 0;
-        window_.start = t;
-    }
-    ++queue_.stats_.responderPolls;
-    if (queue_.guard_)
-        queue_.guard_->replayHeartbeat(t);
-    window_.pollStart = t;
-    return access(false);
+    window_ = w;
+    queue_.stats_.responderPolls += polls;
+    if (polls > 0 && queue_.guard_)
+        queue_.guard_->replayHeartbeat(top);
+    r.finish(phase);
 }
 
 } // namespace hc::hotcalls

@@ -169,13 +169,13 @@ class HotQueue : public Channel
     {
       public:
         ResponderParker(HotQueue &queue, Window &window)
-            : PollParker(queue, queue.tailLine_, 2), queue_(queue),
+            : PollParker(queue, queue.tailLine_), queue_(queue),
               window_(window)
         {
         }
 
       protected:
-        Cycles block(int phase, Cycles t) override;
+        void replay(Cycles stop) override;
 
       private:
         HotQueue &queue_;

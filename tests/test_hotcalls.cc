@@ -13,6 +13,7 @@
 
 #include "hotcalls/hotcall.hh"
 #include "mem/buffer.hh"
+#include "spinpark_replay.hh"
 #include "support/stats.hh"
 
 using namespace hc;
@@ -599,4 +600,28 @@ TEST(HotCalls, ParkedRequesterWaitCostsConstantDecisions)
     EXPECT_EQ(parked.latency, polling.latency);
     EXPECT_EQ(parked.clock, polling.clock);
     EXPECT_GT(parked.latency, 1'000'000u);
+}
+
+// SpinPark replay kernels against polling (spinpark_replay.hh): the
+// requester's completion wait and the idle single-line responder,
+// woken at every boundary around their block clocks and at their park
+// limit.
+
+TEST(SpinParkReplay, RequesterWaitMatchesPolling)
+{
+    sptest::expectReplayMatchesPolling(&sptest::requesterScenario,
+                                       100'000);
+}
+
+TEST(SpinParkReplay, HotCallResponderMatchesPolling)
+{
+    // At the limit boundary the idle sleep must not bound the park
+    // before the interrupt does.
+    sptest::expectReplayMatchesPolling(
+        [](bool park, const sptest::Boundary &b,
+           std::vector<Cycles> *clocks) {
+            return sptest::hotCallResponderScenario(
+                park, b, b.limit ? 1'000'000 : 1'000, clocks);
+        },
+        30'000);
 }

@@ -14,6 +14,7 @@
 #include "hotcalls/hotqueue.hh"
 #include "mem/buffer.hh"
 #include "sdk/spinlock.hh"
+#include "spinpark_replay.hh"
 #include "support/stats.hh"
 
 using namespace hc;
@@ -551,4 +552,18 @@ TEST(HotQueue, IdleResponderParkCostsWakesNotPolls)
     EXPECT_LT(parked.decisions, 100u);
     EXPECT_EQ(parked.polls, polling.polls);
     EXPECT_EQ(parked.responderClock, polling.responderClock);
+}
+
+// SpinPark replay kernel against polling (spinpark_replay.hh): the
+// idle ring responder, woken at every boundary around its block clocks
+// (many 32-poll windows after it parked) and at its park limit.
+
+TEST(SpinParkReplay, HotQueueResponderMatchesPolling)
+{
+    sptest::expectReplayMatchesPolling(
+        [](bool park, const sptest::Boundary &b,
+           std::vector<Cycles> *clocks) {
+            return sptest::hotQueueResponderScenario(park, b, clocks);
+        },
+        40'000);
 }
